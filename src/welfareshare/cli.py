@@ -107,7 +107,10 @@ def resolve_disagreement(inst, args, embedded):
     if mode is None and embedded:
         mode = embedded.get("mode")
         if "utilities" in embedded:
-            explicit = [parse_rational(u) for u in embedded["utilities"]]
+            try:
+                explicit = [parse_rational(u) for u in embedded["utilities"]]
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"bad embedded disagreement: {exc}") from exc
         seed = embedded.get("seed", seed)
         samples = embedded.get("samples", samples)
     if mode is None:
@@ -119,9 +122,13 @@ def resolve_disagreement(inst, args, embedded):
                 with open(path) as fh:
                     doc = json.load(fh)
                 explicit = [parse_rational(u) for u in doc["utilities"]]
-            except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad disagreement file: {exc}") from exc
         mode = "explicit"
+        if explicit is not None and len(explicit) != inst.n_agents:
+            raise ParseError(
+                f"disagreement has {len(explicit)} utilities for {inst.n_agents} agents"
+            )
     return compute_disagreement(inst, mode, seed=seed, samples=samples, explicit=explicit)
 
 
@@ -166,12 +173,13 @@ def trace_doc(trace: WaterFillingTrace):
     }
 
 
-def emit_solution(inst, sol, d, args):
+def emit_solution(o, sol, d, args):
+    inst = o.backing
     fmt = getattr(args, "output", "json")
     if fmt == "json":
         doc = solution_doc(sol, d)
         if getattr(args, "explain", False) and sol.mechanism == "lexmax":
-            _, trace = water_filling(SetFunctionOracle(inst), d)
+            _, trace = water_filling(o, d)
             doc["trace"] = trace_doc(trace)
         print(json.dumps(doc, indent=2))
     elif fmt == "csv":
@@ -193,7 +201,7 @@ def emit_solution(inst, sol, d, args):
                 f" {format_rational(sol.transfers[i]):>14}"
             )
         if getattr(args, "explain", False) and sol.mechanism == "lexmax":
-            _, trace = water_filling(SetFunctionOracle(inst), d)
+            _, trace = water_filling(o, d)
             print(f"water filling exhausted: {trace.exhausted}")
             for x, locked, _sets in trace.iterations:
                 print(f"  raise by {format_rational(x)}, lock agents {list(locked)}")
@@ -203,9 +211,10 @@ def cmd_solve(args) -> int:
     inst, embedded = load_instance(args.instance)
     if isinstance(inst, MatchingInstance) and inst.rent is not None:
         inst = apply_rent_shift(inst)
+    o = SetFunctionOracle(inst)
     d = resolve_disagreement(inst, args, embedded)
-    sol = run_mechanism(args.mechanism, inst, d)
-    emit_solution(inst, sol, d, args)
+    sol = run_mechanism(args.mechanism, o, d)
+    emit_solution(o, sol, d, args)
     return EXIT_OK
 
 
@@ -243,8 +252,10 @@ def cmd_check(args) -> int:
             with open(args.anticore) as fh:
                 doc = json.load(fh)
             u = [parse_rational(x) for x in doc["utilities"]]
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad solution file: {exc}") from exc
+        if len(u) != inst.n_agents:
+            raise ParseError(f"solution has {len(u)} utilities for {inst.n_agents} agents")
         verdict = check_anticore(o, u)
         if verdict:
             print("anticore: ok")
@@ -274,6 +285,7 @@ def cmd_compare(args) -> int:
     inst, embedded = load_instance(args.instance)
     if isinstance(inst, MatchingInstance) and inst.rent is not None:
         inst = apply_rent_shift(inst)
+    o = SetFunctionOracle(inst)
     d = resolve_disagreement(inst, args, embedded)
     partition = dec.find_components(inst)
     mechanisms = [t for t in MECHANISMS if t != "ef-maxmin"]
@@ -282,9 +294,9 @@ def cmd_compare(args) -> int:
     reports = []
     for tag in mechanisms:
         try:
-            reports.append(mechanism_report(inst, tag, d, partition=partition))
+            reports.append(mechanism_report(o, tag, d, partition=partition))
         except EmptyCoreError:
-            reports.append(None if tag != "lexmax" else None)
+            reports.append(None)
     if getattr(args, "output", "table") == "json":
         doc = []
         for tag, rep in zip(mechanisms, reports):

@@ -194,7 +194,7 @@ def simplex_solve(lp: LinearProgram) -> LPResult:
 
 
 # ---------------------------------------------------------------------------
-# Lexicographic max-min over affine expressions (shared by lexmax and EF)
+# Lexicographic max-min over affine expressions (lexmax, EF and the nucleolus)
 # ---------------------------------------------------------------------------
 
 
@@ -273,7 +273,8 @@ def lexicographic_maxmin(n_vars, constraints, exprs, nonneg=False):
             nonneg=False,
         )
     )
-    assert final.status == "optimal"
+    if final.status != "optimal":
+        raise InfeasibleError("lexicographic program infeasible")
     return [levels[k] for k in range(len(exprs))], final.point
 
 

@@ -22,6 +22,7 @@ from .model import (
     Solution,
     enumeration_bound,
 )
+from .welfare import SetFunctionOracle
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,8 @@ def _sufficient_partition(m: MatchingInstance) -> ComponentPartition:
     blocks = sorted(
         (tuple(sorted(a)), tuple(sorted(it))) for a, it in groups.values()
     )
-    assert all(len(a) == len(it) for a, it in blocks)
+    if any(len(a) != len(it) for a, it in blocks):
+        raise AssertionError("sufficient partition has an unbalanced block")
     return ComponentPartition(blocks=tuple(blocks), certificate="sufficient")
 
 
@@ -343,14 +345,14 @@ def check_strong_decomposability(
     from .rivals import compute_disagreement, run_mechanism
 
     d_whole = compute_disagreement(inst, disagreement_mode)
-    whole = run_mechanism(mechanism, inst, d_whole)
+    whole = run_mechanism(mechanism, SetFunctionOracle(inst), d_whole)
     for agents, items in partition.blocks:
         if isinstance(inst, MatchingInstance):
             sub = inst.restrict(agents, items)
         else:
             sub = inst.restrict_agents(agents)
         d_sub = compute_disagreement(sub, disagreement_mode)
-        part = run_mechanism(mechanism, sub, d_sub)
+        part = run_mechanism(mechanism, SetFunctionOracle(sub), d_sub)
         for pos, agent in enumerate(agents):
             if whole.utilities[agent] != part.utilities[pos]:
                 return StrongVerdict(

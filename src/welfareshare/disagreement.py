@@ -11,6 +11,7 @@ about, so utilities do not depend on which matching is used.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -163,6 +164,25 @@ def _rp_tiefree_utilities(values, m: int) -> Tuple[Fraction, ...]:
     return solve((1 << n) - 1, (1 << m) - 1)
 
 
+def _rp_counts(m: MatchingInstance) -> List[List[int]]:
+    """counts[i][j] = number of the n! serial orders that give agent i item j."""
+    n = m.n_agents
+    counts = [[0] * m.n_items for _ in range(n)]
+    for order in permutations(range(n)):
+        assignment = _serial_assignment(m.values, order, m.n_items)
+        for i in range(n):
+            counts[i][assignment[i]] += 1
+    return counts
+
+
+def _expected_utilities(m: MatchingInstance, x) -> Tuple[Fraction, ...]:
+    """Each agent's expected value under the assignment probabilities x[i][j]."""
+    return tuple(
+        sum((x[i][j] * m.values[i][j] for j in range(m.n_items)), Fraction(0))
+        for i in range(m.n_agents)
+    )
+
+
 def rp_exact(m: MatchingInstance) -> DisagreementPoint:
     """Exact Random Priority: average over all n! serial orders.
 
@@ -175,14 +195,8 @@ def rp_exact(m: MatchingInstance) -> DisagreementPoint:
     if not _has_row_ties(m.values):
         utils = _rp_tiefree_utilities(m.values, m.n_items)
     else:
-        totals = [Fraction(0)] * n
-        count = 0
-        for order in permutations(range(n)):
-            assignment = _serial_assignment(m.values, order, m.n_items)
-            for i in range(n):
-                totals[i] += m.values[i][assignment[i]]
-            count += 1
-        utils = tuple(t / count for t in totals)
+        total = math.factorial(n)
+        utils = _expected_utilities(m, [[Fraction(c, total) for c in row] for row in _rp_counts(m)])
     return DisagreementPoint(utilities=utils, provenance="rp_exact")
 
 
@@ -196,19 +210,9 @@ def rp_allocation(m: MatchingInstance):
     n = m.n_agents
     if n > enumeration_bound("rp_exact"):
         raise BoundExceededError("rp_allocation bound exceeded")
-    counts = [[0] * m.n_items for _ in range(n)]
-    total = 0
-    for order in permutations(range(n)):
-        assignment = _serial_assignment(m.values, order, m.n_items)
-        for i in range(n):
-            counts[i][assignment[i]] += 1
-        total += 1
-    x = tuple(tuple(Fraction(c, total) for c in row) for row in counts)
-    utils = tuple(
-        sum((x[i][j] * m.values[i][j] for j in range(m.n_items)), Fraction(0))
-        for i in range(n)
-    )
-    return x, DisagreementPoint(utilities=utils, provenance="rp_exact")
+    total = math.factorial(n)
+    x = tuple(tuple(Fraction(c, total) for c in row) for row in _rp_counts(m))
+    return x, DisagreementPoint(utilities=_expected_utilities(m, x), provenance="rp_exact")
 
 
 def rp_montecarlo(m: MatchingInstance, samples: int, seed: int) -> DisagreementPoint:
@@ -237,13 +241,7 @@ def rp_montecarlo(m: MatchingInstance, samples: int, seed: int) -> DisagreementP
             assignment = _serial_assignment(m.values, order, m.n_items)
             for i in range(n):
                 counts[i][assignment[i]] += 1
-    utils = tuple(
-        sum(
-            (Fraction(counts[i][j], samples) * m.values[i][j] for j in range(m.n_items)),
-            Fraction(0),
-        )
-        for i in range(n)
-    )
+    utils = _expected_utilities(m, [[Fraction(c, samples) for c in row] for row in counts])
     return DisagreementPoint(
         utilities=utils, provenance=f"rp_montecarlo(seed={seed}, samples={samples})"
     )
@@ -295,8 +293,6 @@ def eating(m: MatchingInstance):
     schedule = EatingSchedule(
         allocation=tuple(tuple(row) for row in x), phases=tuple(phases)
     )
-    utils = tuple(
-        sum((x[i][j] * m.values[i][j] for j in range(items)), Fraction(0))
-        for i in range(n)
+    return schedule, DisagreementPoint(
+        utilities=_expected_utilities(m, x), provenance="eating"
     )
-    return schedule, DisagreementPoint(utilities=utils, provenance="eating")

@@ -40,7 +40,8 @@ def water_filling(
     Guaranteed to exhaust the welfare (and equal the lexmax solution) when
     W_max is submodular; on other inputs it may halt early, in which case
     the trace reports exhausted=False and no Solution is produced (a
-    non-exhausted utility vector cannot be budget balanced).
+    non-exhausted utility vector cannot be budget balanced).  Raises
+    EmptyCoreError when d lies outside the anticore.
     """
     n = o.n_agents
     full = o.full_mask
@@ -75,7 +76,9 @@ def water_filling(
             cand = (wvals[m] - subset_total(m)) / overlap
             if best is None or cand < best:
                 best = cand
-        assert best is not None and best > 0
+        if best <= 0:
+            # only at the start, from u = d: some S has d(S) > W_max(S)
+            raise EmptyCoreError("WS-core is empty: disagreement point outside the anticore")
         for i in agents_of(free):
             u[i] += best
         now_tight = tight_masks()
@@ -84,7 +87,8 @@ def water_filling(
         for m in now_tight:
             locked |= m
         newly_locked = agents_of(free & locked)
-        assert newly_locked
+        if not newly_locked:
+            raise AssertionError("water filling locked no agent")
         iterations.append(
             (
                 best,

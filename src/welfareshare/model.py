@@ -216,8 +216,6 @@ def normalize_to_disagreement(inst, d: DisagreementPoint):
     new_values = tuple(
         tuple(v - d[i] for v in row) for i, row in enumerate(inst.values)
     )
-    if isinstance(inst, MatchingInstance):
-        return replace(inst, values=new_values)
     return replace(inst, values=new_values)
 
 

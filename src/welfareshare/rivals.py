@@ -6,29 +6,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Dict, Optional
+from typing import Dict
 
 from .core import (
     EQ,
     GE,
     EmptyCoreError,
-    InfeasibleError,
-    LinearProgram,
     check_anticore,
     check_domination,
     lexicographic_maxmin,
-    simplex_solve,
     ws_core_nonempty,
 )
 from .model import (
     BoundExceededError,
     DisagreementPoint,
-    Instance,
     MatchingInstance,
     Solution,
     enumeration_bound,
 )
-from .welfare import SetFunctionOracle, agents_of, dual, is_submodular
+from .welfare import SetFunctionOracle, agents_of, dual, is_submodular, wpi
 
 
 def _solution_from_utilities(o: SetFunctionOracle, utilities, mechanism: str) -> Solution:
@@ -73,7 +69,7 @@ def shapley_by_permutations(o: SetFunctionOracle):
     return tuple(t / count for t in totals)
 
 
-def ef_maxmin(m: MatchingInstance) -> Solution:
+def ef_maxmin(o: SetFunctionOracle) -> Solution:
     """Envy-free item transfers maximizing the minimum utility.
 
     The assignment is fixed to the lexicographically smallest max-weight
@@ -81,9 +77,9 @@ def ef_maxmin(m: MatchingInstance) -> Solution:
     must make every agent weakly prefer her own item.  Among max-min
     optimal q a lexicographic max-min refinement pins the output.
     """
+    m = o.backing
     if not m.is_square:
         raise ValueError("ef_maxmin requires a square matching instance")
-    o = SetFunctionOracle(m)
     n = m.n_agents
     sigma = o.wmax_argmax(range(n))
     rows = [([Fraction(1)] * n, EQ, Fraction(0))]
@@ -134,71 +130,21 @@ def nash_bargaining(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
 def nucleolus_ws(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
     """Nucleolus against g(S) = max(D(S), sum of d over S).
 
-    Iteratively maximizes the minimum excess u(S) - g(S) over nonempty
-    proper S, freezing coalitions whose excess cannot rise, until the
-    utility vector is pinned.
+    The lexicographic max-min of the excesses u(S) - g(S) over nonempty
+    proper S, subject to u(N) = W_max(N).  Once every excess is fixed the
+    singletons pin u.
     """
-    n = o.n_agents
     if not ws_core_nonempty(o, d):
         raise EmptyCoreError("WS-core is empty")
+    n = o.n_agents
     full = o.full_mask
-    if n == 1:
-        return _solution_from_utilities(o, (o.wmax_mask(full),), "nucleolus-ws")
-    masks = [m for m in range(1, full) ]
-    g = {m: max(dual(o, agents_of(m)), sum((d[i] for i in agents_of(m)), Fraction(0)))
-         for m in masks}
-
-    def row_of(mask):
-        return [Fraction(1 if mask & (1 << i) else 0) for i in range(n)]
-
-    eq_row = ([Fraction(1)] * n, EQ, o.wmax_mask(full))
-    fixed = [eq_row]
-    active = set(masks)
-
-    def solve(objective, rows, nv):
-        res = simplex_solve(LinearProgram(nv, objective, rows, maximize=True, nonneg=False))
-        if res.status != "optimal":
-            raise InfeasibleError(f"nucleolus LP {res.status}")
-        return res
-
-    while True:
-        rows = [(r + [Fraction(0)], rel, rhs) for r, rel, rhs in fixed]
-        for mask in active:
-            rows.append((row_of(mask) + [Fraction(-1)], GE, g[mask]))
-        res = solve([Fraction(0)] * n + [Fraction(1)], rows, n + 1)
-        eps = res.value
-        point = res.point[:n]
-        floors = [(row_of(mask), GE, g[mask] + eps) for mask in active]
-        newly = []
-        for mask in sorted(active):
-            excess = sum((point[i] for i in agents_of(mask)), Fraction(0)) - g[mask]
-            if excess != eps:
-                continue
-            probe = solve(row_of(mask), fixed + floors, n)
-            if probe.value == g[mask] + eps:
-                newly.append(mask)
-        assert newly, "nucleolus made no progress"
-        for mask in newly:
-            fixed.append((row_of(mask), EQ, g[mask] + eps))
-            active.discard(mask)
-        # stop once the utilities are pinned by the accumulated equalities
-        pinned = []
-        probe_rows = fixed + floors
-        unique = True
-        for i in range(n):
-            obj = [Fraction(0)] * n
-            obj[i] = Fraction(1)
-            hi = solve(obj, probe_rows, n).value
-            obj[i] = Fraction(-1)
-            lo = -solve(obj, probe_rows, n).value
-            if hi != lo:
-                unique = False
-                break
-            pinned.append(hi)
-        if unique:
-            return _solution_from_utilities(o, pinned, "nucleolus-ws")
-        if not active:
-            raise AssertionError("nucleolus exhausted coalitions without pinning")
+    exprs = []
+    for mask in range(1, full):
+        members = agents_of(mask)
+        g = max(dual(o, members), wpi(d, members))
+        exprs.append(([1 if mask >> i & 1 else 0 for i in range(n)], -g))
+    _, u = lexicographic_maxmin(n, [([1] * n, EQ, o.wmax_mask(full))], exprs)
+    return _solution_from_utilities(o, u, "nucleolus-ws")
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +176,13 @@ def compute_disagreement(
     if not isinstance(inst, MatchingInstance) or not inst.is_square:
         raise IncompatibleOptionsError(f"--disagreement {mode} needs a square matching instance")
     if mode == "rp":
-        return dis.rp_exact(inst)
+        try:
+            return dis.rp_exact(inst)
+        except BoundExceededError as exc:
+            raise IncompatibleOptionsError(
+                f"--disagreement rp enumerates at most {enumeration_bound('rp_exact')}"
+                f" agents, this instance has {inst.n_agents}; use --disagreement rp-mc"
+            ) from exc
     if mode == "rp-mc":
         return dis.rp_montecarlo(inst, samples=samples, seed=seed)
     if mode == "eating":
@@ -238,8 +190,8 @@ def compute_disagreement(
     raise IncompatibleOptionsError(f"unknown disagreement mode {mode!r}")
 
 
-def run_mechanism(tag: str, inst, d: DisagreementPoint) -> Solution:
-    o = SetFunctionOracle(inst)
+def run_mechanism(tag: str, o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
+    inst = o.backing
     if tag == "lexmax":
         from .egalitarian import lexmax_lp, water_filling
 
@@ -259,7 +211,7 @@ def run_mechanism(tag: str, inst, d: DisagreementPoint) -> Solution:
     if tag == "ef-maxmin":
         if not isinstance(inst, MatchingInstance) or not inst.is_square:
             raise IncompatibleOptionsError("ef-maxmin needs a square matching instance")
-        return ef_maxmin(inst)
+        return ef_maxmin(o)
     if tag == "ks":
         return ks_bargaining(o, d)
     if tag == "nash":
@@ -277,13 +229,13 @@ class MechanismReport:
 
 
 def mechanism_report(
-    inst, tag: str, d: DisagreementPoint, partition=None
+    o: SetFunctionOracle, tag: str, d: DisagreementPoint, partition=None
 ) -> MechanismReport:
     """Run one mechanism and attach the standard property flags."""
     from . import decompose
 
-    o = SetFunctionOracle(inst)
-    sol = run_mechanism(tag, inst, d)
+    inst = o.backing
+    sol = run_mechanism(tag, o, d)
     u = sol.utilities
     if partition is None:
         partition = decompose.find_components(inst)

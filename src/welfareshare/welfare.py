@@ -44,40 +44,21 @@ def iter_nonempty_masks(n: int):
 class SetFunctionOracle:
     """Evaluates W_max on agent subsets with transparent memoization.
 
-    Backings: a general Instance (max over alternatives), a MatchingInstance
-    (max-weight matching of the subset into the item set; every agent in the
-    subset must be matched, negative values allowed), or an explicit table
-    of 2^n values keyed by bitmask.
+    Backings: a general Instance (max over alternatives) or a
+    MatchingInstance (max-weight matching of the subset into the item set;
+    every agent in the subset must be matched, negative values allowed).
     """
 
-    def __init__(self, backing, table=None):
+    def __init__(self, backing):
         self.backing = backing
         if isinstance(backing, Instance):
             self.kind = "general"
-            self.n_agents = backing.n_agents
         elif isinstance(backing, MatchingInstance):
             self.kind = "matching"
-            self.n_agents = backing.n_agents
-        elif backing is None:
-            if table is None:
-                raise ValueError("explicit oracle needs a table")
-            self.kind = "explicit"
-            n = 0
-            while (1 << (n + 1)) <= len(table):
-                n += 1
-            if len(table) != 1 << n:
-                raise ValueError("explicit table length must be a power of two")
-            self.n_agents = n
-            self._table = [Fraction(v) for v in table]
-            if self._table[0] != 0:
-                raise ValueError("W_max(empty set) must be 0")
         else:
             raise TypeError(f"unsupported backing {type(backing)!r}")
+        self.n_agents = backing.n_agents
         self._memo = {0: Fraction(0)}
-
-    @classmethod
-    def from_table(cls, table) -> "SetFunctionOracle":
-        return cls(None, table=table)
 
     @property
     def full_mask(self) -> int:
@@ -92,10 +73,8 @@ class SetFunctionOracle:
                 sum((self.backing.values[i][a] for i in agents_of(mask)), Fraction(0))
                 for a in range(self.backing.n_alternatives)
             )
-        elif self.kind == "matching":
-            val = self._matching_wmax(mask)
         else:
-            val = self._table[mask]
+            val = self._matching_wmax(mask)
         self._memo[mask] = val
         return val
 
@@ -137,9 +116,7 @@ class SetFunctionOracle:
                 if sum((self.backing.values[i][a] for i in members), Fraction(0)) == best:
                     return a
             raise AssertionError("argmax not found")
-        if self.kind == "matching":
-            return self._matching_argmax(mask)
-        raise ValueError("explicit oracles have no argmax witness")
+        return self._matching_argmax(mask)
 
     def _matching_argmax(self, mask: int) -> Tuple[int, ...]:
         members = agents_of(mask)
@@ -183,11 +160,9 @@ class SetFunctionOracle:
         """Per-agent value of a full-set alternative id / assignment."""
         if self.kind == "general":
             return tuple(row[alternative] for row in self.backing.values)
-        if self.kind == "matching":
-            return tuple(
-                self.backing.values[i][alternative[i]] for i in range(self.n_agents)
-            )
-        raise ValueError("explicit oracles carry no per-agent values")
+        return tuple(
+            self.backing.values[i][alternative[i]] for i in range(self.n_agents)
+        )
 
 
 def wmax(o: SetFunctionOracle, S: Iterable[int]) -> Fraction:

@@ -3,8 +3,11 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from welfareshare.cli import main
 from welfareshare.model import parse_rational
+from welfareshare.welfare import SetFunctionOracle
 
 
 def run(capsys, *argv):
@@ -160,6 +163,64 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("where", ["embedded", "file"])
+    def test_float_disagreement_utility(self, capsys, tmp_path, where):
+        utilities = [1.5, "0"]
+        if where == "embedded":
+            doc = dict(EX_MATCHING, disagreement={"mode": "explicit", "utilities": utilities})
+            argv = [write_instance(tmp_path / "inst.json", doc)]
+        else:
+            dfile = tmp_path / "d.json"
+            dfile.write_text(json.dumps({"utilities": utilities}))
+            argv = ["fixture:TWO(delta=1/5)", "--disagreement", f"explicit={dfile}"]
+        code, _, err = run(capsys, "solve", *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "float" in err
+
+    def test_explicit_disagreement_wrong_length(self, capsys, tmp_path):
+        dfile = tmp_path / "d.json"
+        dfile.write_text(json.dumps({"utilities": ["0", "0", "0"]}))
+        code, _, err = run(
+            capsys, "solve", "fixture:TWO(delta=1/5)", "--disagreement", f"explicit={dfile}"
+        )
+        assert code == 2
+        assert err == "error: disagreement has 3 utilities for 2 agents\n"
+
+    def test_default_rp_beyond_bound(self, capsys, tmp_path):
+        n = 11
+        doc = {
+            "kind": "matching",
+            "items": [f"item{j}" for j in range(n)],
+            "values": [[str((i * j) % 7) for j in range(n)] for i in range(n)],
+        }
+        code, _, err = run(capsys, "solve", write_instance(tmp_path / "inst.json", doc))
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--disagreement rp-mc" in err
+
+
+class TestOracleReuse:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "fixture:EX1(delta=1/10)", "--mechanism", "lexmax", "--explain"],
+            ["compare", "fixture:EX1(delta=1/10)", "--output", "json"],
+        ],
+    )
+    def test_one_oracle_per_call(self, capsys, monkeypatch, argv):
+        built = []
+        init = SetFunctionOracle.__init__
+
+        def counting_init(self, backing):
+            built.append(backing)
+            init(self, backing)
+
+        monkeypatch.setattr(SetFunctionOracle, "__init__", counting_init)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert len(built) == 1
+
 
 class TestCheck:
     def test_ex4_submodular_fails(self, capsys):
@@ -229,6 +290,20 @@ class TestCheck:
         )
         assert code == 1
         assert "violation" in out
+
+    @pytest.mark.parametrize(
+        "utilities, message",
+        [([0.5, "0", "0"], "float"), (["0"], "solution has 1 utilities for 3 agents")],
+    )
+    def test_bad_anticore_utilities(self, capsys, tmp_path, utilities, message):
+        sol_file = tmp_path / "sol.json"
+        sol_file.write_text(json.dumps({"utilities": utilities}))
+        code, _, err = run(
+            capsys, "check", "fixture:EX1(delta=1/10)", "--anticore", str(sol_file)
+        )
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
 
 
 class TestCompare:

@@ -110,7 +110,7 @@ class TestWeakDecomposability:
     def test_ex1_ef_violates(self):
         inst = fixture("EX1", delta=F("1/10"))
         part = find_components_matching(inst)
-        sol = ef_maxmin(inst)
+        sol = ef_maxmin(SetFunctionOracle(inst))
         verdict = check_weak_decomposability(inst, part, sol)
         assert not verdict
         # student 3 forms her own block yet receives a positive net subsidy
@@ -119,7 +119,7 @@ class TestWeakDecomposability:
     def test_ex1_lexmax_ok(self):
         inst = fixture("EX1", delta=F("1/10"))
         part = find_components_matching(inst)
-        sol = run_mechanism("lexmax", inst, rp_exact(inst))
+        sol = run_mechanism("lexmax", SetFunctionOracle(inst), rp_exact(inst))
         assert check_weak_decomposability(inst, part, sol)
 
 
@@ -149,7 +149,7 @@ class TestStrongDecomposability:
             inst, _ = planted_block_matching(rng, [2, 1])
             part = find_components_matching(inst)
             if check_strong_decomposability("lexmax", inst, part):
-                sol = run_mechanism("lexmax", inst, rp_exact(inst))
+                sol = run_mechanism("lexmax", SetFunctionOracle(inst), rp_exact(inst))
                 assert check_weak_decomposability(inst, part, sol)
 
 
@@ -170,7 +170,7 @@ class TestRestrictionProperties:
         for _ in range(6):
             inst, blocks = planted_block_matching(rng, [2, 2])
             o = SetFunctionOracle(inst)
-            sol = run_mechanism("lexmax", inst, rp_exact(inst))
+            sol = run_mechanism("lexmax", SetFunctionOracle(inst), rp_exact(inst))
             u = sol.utilities
             full = bool(check_anticore(o, u))
             within = all(

@@ -1,12 +1,16 @@
 """Water filling, lexicographic maximization, and egalitarian diagnostics."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 from conftest import random_matching
 
+import welfareshare
 from welfareshare.core import EmptyCoreError, check_anticore, check_domination
 from welfareshare.disagreement import rp_exact
 from welfareshare.egalitarian import (
@@ -59,6 +63,33 @@ class TestWaterFilling:
         assert sol is None
         assert not trace.exhausted
         assert trace.final_utilities == (F("1/2"), F("1/2"), F("1/2"))
+
+    def test_disagreement_outside_anticore_raises_under_optimize(self):
+        # d_A = 5 > W_max({A}) = 1; under `python -O` an assert used to let
+        # the utilities fall below d and report exhausted=True
+        script = (
+            "import sys\n"
+            "from welfareshare.core import EmptyCoreError\n"
+            "from welfareshare.egalitarian import water_filling\n"
+            "from welfareshare.model import DisagreementPoint, fixture\n"
+            "from welfareshare.welfare import SetFunctionOracle\n"
+            "if __debug__:\n"
+            "    sys.exit('not optimized')\n"
+            "o = SetFunctionOracle(fixture('TWO', delta='1/5'))\n"
+            "try:\n"
+            "    print(water_filling(o, DisagreementPoint((5, 5))))\n"
+            "except EmptyCoreError as exc:\n"
+            "    print(f'EmptyCoreError: {exc}')\n"
+        )
+        src = os.path.dirname(os.path.dirname(welfareshare.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("EmptyCoreError: "), proc.stdout
 
     def test_ex5_unequal_disagreement(self):
         m = fixture("EX5").restrict((0, 1, 2), (0, 1, 2))

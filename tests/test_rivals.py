@@ -93,29 +93,29 @@ class TestShapley:
 
 class TestEFMaxmin:
     def test_forced_transfers_one(self):
-        sol = ef_maxmin(square([(6, 0, 0), (6, 0, 0), (0, 6, 6)]))
+        sol = ef_maxmin(SetFunctionOracle(square([(6, 0, 0), (6, 0, 0), (0, 6, 6)])))
         assert sorted(sol.transfers) == [F(-4), F(2), F(2)]
 
     def test_forced_transfers_two(self):
-        sol = ef_maxmin(square([(2, 1, 0), (2, 1, 0), (0, 1, 0)]))
+        sol = ef_maxmin(SetFunctionOracle(square([(2, 1, 0), (2, 1, 0), (0, 1, 0)])))
         assert sorted(sol.transfers) == [F(-1), F(0), F(1)]
 
     def test_ex1_room3_subsidy_bound(self):
         delta = F("1/10")
-        sol = ef_maxmin(fixture("EX1", delta=delta))
+        sol = ef_maxmin(SetFunctionOracle(fixture("EX1", delta=delta)))
         # student 3 keeps room 3; its transfer obeys the envy-freeness bound
         assert sol.transfers[2] >= (1 - 8 * delta) / 3
 
     def test_rent5_player5_profits(self):
         m = apply_rent_shift(fixture("RENT5", eps=F("1/10")))
-        sol = ef_maxmin(m)
+        sol = ef_maxmin(SetFunctionOracle(m))
         assert sol.transfers[4] > 0
 
     def test_no_envy_and_budget_balance(self):
         rng = random.Random(504)
         for _ in range(10):
             m = random_matching(rng, rng.randint(2, 4))
-            sol = ef_maxmin(m)
+            sol = ef_maxmin(SetFunctionOracle(m))
             assert sum(sol.transfers) == 0
             assignment = sol.alternative
             q = {assignment[i]: sol.transfers[i] for i in range(m.n_agents)}
@@ -236,21 +236,21 @@ class TestDispatch:
     def test_unknown_mechanism(self):
         inst = fixture("EX2")
         with pytest.raises(IncompatibleOptionsError):
-            run_mechanism("bogus", inst, zero_disagreement(6))
+            run_mechanism("bogus", SetFunctionOracle(inst), zero_disagreement(6))
 
     def test_ef_requires_matching(self):
         with pytest.raises(IncompatibleOptionsError):
-            run_mechanism("ef-maxmin", fixture("EX2"), zero_disagreement(6))
+            run_mechanism("ef-maxmin", SetFunctionOracle(fixture("EX2")), zero_disagreement(6))
 
     def test_report_flags_ex3_shapley(self):
         inst = fixture("EX3")
         d = compute_disagreement(inst, "uniform")
-        rep = mechanism_report(inst, "shapley", d)
+        rep = mechanism_report(SetFunctionOracle(inst), "shapley", d)
         assert rep.flags["in_anticore"] is False
 
     def test_lexmax_report_all_green_on_matching(self):
         rng = random.Random(507)
         m = random_matching(rng, 3)
         d = rp_exact(m)
-        rep = mechanism_report(m, "lexmax", d)
+        rep = mechanism_report(SetFunctionOracle(m), "lexmax", d)
         assert all(rep.flags.values())
