@@ -23,6 +23,7 @@ from .egalitarian import (
     lexmax_lp,
     lorenz_compare,
     min_square_diag,
+    solve_lexmax,
     sum_squares,
     water_filling,
 )

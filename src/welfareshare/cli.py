@@ -15,7 +15,9 @@ from fractions import Fraction
 from . import decompose as dec
 from .core import EmptyCoreError, check_anticore, ws_core_nonempty
 from .disagreement import eating
-from .egalitarian import WaterFillingTrace, water_filling
+# water_filling is unused here, but bench/selftest.py checks that the tracer
+# rebinds and restores this module's binding of it
+from .egalitarian import WaterFillingTrace, solve_lexmax, water_filling  # noqa: F401
 from .model import (
     DisagreementPoint,
     Instance,
@@ -173,13 +175,14 @@ def trace_doc(trace: WaterFillingTrace):
     }
 
 
-def emit_solution(o, sol, d, args):
+def emit_solution(o, sol, d, args, trace=None):
+    """Print the solution and, with --explain, solve_lexmax's trace."""
     inst = o.backing
+    explain = trace is not None and getattr(args, "explain", False)
     fmt = getattr(args, "output", "json")
     if fmt == "json":
         doc = solution_doc(sol, d)
-        if getattr(args, "explain", False) and sol.mechanism == "lexmax":
-            _, trace = water_filling(o, d)
+        if explain:
             doc["trace"] = trace_doc(trace)
         print(json.dumps(doc, indent=2))
     elif fmt == "csv":
@@ -200,8 +203,7 @@ def emit_solution(o, sol, d, args):
                 f" {'≈' + _approx(sol.utilities[i]):>12}"
                 f" {format_rational(sol.transfers[i]):>14}"
             )
-        if getattr(args, "explain", False) and sol.mechanism == "lexmax":
-            _, trace = water_filling(o, d)
+        if explain:
             print(f"water filling exhausted: {trace.exhausted}")
             for x, locked, _sets in trace.iterations:
                 print(f"  raise by {format_rational(x)}, lock agents {list(locked)}")
@@ -213,8 +215,11 @@ def cmd_solve(args) -> int:
         inst = apply_rent_shift(inst)
     o = SetFunctionOracle(inst)
     d = resolve_disagreement(inst, args, embedded)
-    sol = run_mechanism(args.mechanism, o, d)
-    emit_solution(o, sol, d, args)
+    if args.mechanism == "lexmax":
+        sol, trace = solve_lexmax(o, d)
+    else:
+        sol, trace = run_mechanism(args.mechanism, o, d), None
+    emit_solution(o, sol, d, args, trace)
     return EXIT_OK
 
 

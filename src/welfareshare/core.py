@@ -203,7 +203,7 @@ def _expr_value(expr, point):
     return sum((c * x for c, x in zip(coeffs, point)), Fraction(const))
 
 
-def lexicographic_maxmin(n_vars, constraints, exprs, nonneg=False):
+def lexicographic_maxmin(n_vars, constraints, exprs):
     """Lexicographically maximize the sorted vector of affine expressions.
 
     constraints: (row, rel, rhs) over the n_vars variables.
@@ -228,7 +228,7 @@ def lexicographic_maxmin(n_vars, constraints, exprs, nonneg=False):
             rows.append((list(coeffs) + [Fraction(-1)], GE, -const))
         objective = [Fraction(0)] * n_vars + [Fraction(1)]
         res = simplex_solve(
-            LinearProgram(n_vars + 1, objective, rows, maximize=True, nonneg=False)
+            LinearProgram(n_vars + 1, objective, rows, maximize=True)
         )
         if res.status == "infeasible":
             raise InfeasibleError("lexicographic program infeasible")
@@ -246,13 +246,7 @@ def lexicographic_maxmin(n_vars, constraints, exprs, nonneg=False):
                 continue
             coeffs, const = exprs[k]
             probe = simplex_solve(
-                LinearProgram(
-                    n_vars,
-                    coeffs,
-                    constraints + fixed_rows + floor_rows,
-                    maximize=True,
-                    nonneg=False,
-                )
+                LinearProgram(n_vars, coeffs, constraints + fixed_rows + floor_rows)
             )
             if probe.status == "optimal" and probe.value + const == t_star:
                 newly.append(k)
@@ -265,13 +259,7 @@ def lexicographic_maxmin(n_vars, constraints, exprs, nonneg=False):
             unfixed.discard(k)
 
     final = simplex_solve(
-        LinearProgram(
-            n_vars,
-            [Fraction(0)] * n_vars,
-            constraints + fixed_rows,
-            maximize=True,
-            nonneg=False,
-        )
+        LinearProgram(n_vars, [Fraction(0)] * n_vars, constraints + fixed_rows)
     )
     if final.status != "optimal":
         raise InfeasibleError("lexicographic program infeasible")

@@ -35,9 +35,6 @@ class ComponentPartition:
     def n_blocks(self) -> int:
         return len(self.blocks)
 
-    def agent_blocks(self):
-        return [b[0] for b in self.blocks]
-
 
 def trivial_partition(inst) -> ComponentPartition:
     n = inst.n_agents

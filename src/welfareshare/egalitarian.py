@@ -17,8 +17,8 @@ from .core import (
     simplex_solve,
     ws_core_nonempty,
 )
-from .model import DisagreementPoint, Solution
-from .welfare import SetFunctionOracle, agents_of
+from .model import BoundExceededError, DisagreementPoint, MatchingInstance, Solution
+from .welfare import SetFunctionOracle, agents_of, is_submodular
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,34 @@ def water_filling(
     return sol, trace
 
 
+def solve_lexmax(
+    o: SetFunctionOracle, d: DisagreementPoint
+) -> Tuple[Solution, WaterFillingTrace]:
+    """The lexmax solution and the water-filling trace of the instance.
+
+    Water filling always runs, for the trace, but its answer stands only
+    when it exhausts the welfare and W_max is submodular; otherwise the LP
+    fallback decides.
+    """
+    if not ws_core_nonempty(o, d):
+        raise EmptyCoreError("WS-core is empty")
+    sol, trace = water_filling(o, d)
+    if sol is None or not _submodular(o):
+        sol = lexmax_lp(o, d)
+    return sol, trace
+
+
+def _submodular(o: SetFunctionOracle) -> bool:
+    """Matchings are submodular by construction (Shapley & Shubik 1971;
+    Murota 2003); a general instance past the check's bound counts as not."""
+    if isinstance(o.backing, MatchingInstance):
+        return True
+    try:
+        return bool(is_submodular(o))
+    except BoundExceededError:
+        return False
+
+
 def ws_core_constraints(o: SetFunctionOracle, d: DisagreementPoint):
     """Constraint rows over the n utility variables defining the WS-core."""
     n = o.n_agents
@@ -190,7 +218,7 @@ def sample_ws_core_point(
     """A WS-core point maximizing an arbitrary linear objective (exact)."""
     rows = ws_core_constraints(o, d)
     res = simplex_solve(
-        LinearProgram(o.n_agents, list(objective), rows, maximize=True, nonneg=False)
+        LinearProgram(o.n_agents, list(objective), rows, maximize=True)
     )
     if res.status != "optimal":
         raise EmptyCoreError("WS-core is empty or unbounded")

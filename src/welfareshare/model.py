@@ -7,6 +7,7 @@ enter except through the explicitly opt-in diagnostic paths.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -36,12 +37,19 @@ class BoundExceededError(ValueError):
     """An enumeration-bounded operation was asked to exceed its bound."""
 
 
+# caps on a parsed rational string: digits, and |decimal exponent|
+MAX_DIGITS = 1000
+MAX_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
+
+
 def parse_rational(text: Union[str, int, Fraction]) -> Fraction:
     """Parse "p/q", integer, or decimal strings into an exact Fraction.
 
     Decimal strings are converted with a base-10 denominator, so "0.1"
     becomes exactly 1/10.  Floats are rejected: binary floats silently
-    contaminate exact pipelines.
+    contaminate exact pipelines.  A zero denominator, more than MAX_DIGITS
+    digits or an exponent beyond MAX_EXPONENT raise ValueError.
     """
     if isinstance(text, Fraction):
         return text
@@ -49,7 +57,16 @@ def parse_rational(text: Union[str, int, Fraction]) -> Fraction:
         return Fraction(text)
     if isinstance(text, float):
         raise TypeError("refusing float input; pass a string or int")
-    return Fraction(str(text).strip())
+    text = str(text).strip()
+    if sum(c.isdigit() for c in text) > MAX_DIGITS:
+        raise ValueError(f"rational with more than {MAX_DIGITS} digits")
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+        raise ValueError(f"exponent beyond {MAX_EXPONENT} in {text!r}")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def format_rational(x: Fraction) -> str:
@@ -99,9 +116,6 @@ class Instance:
     @property
     def n_alternatives(self) -> int:
         return len(self.alternative_ids)
-
-    def welfare(self, agents: Sequence[int], alt: int) -> Fraction:
-        return sum((self.values[i][alt] for i in agents), Fraction(0))
 
     def restrict_agents(self, agents: Sequence[int]) -> "Instance":
         """Same alternatives, only the listed agents (order preserved)."""

@@ -15,8 +15,8 @@ from .core import (
     check_anticore,
     check_domination,
     lexicographic_maxmin,
-    ws_core_nonempty,
 )
+from .egalitarian import solve_lexmax
 from .model import (
     BoundExceededError,
     DisagreementPoint,
@@ -24,7 +24,7 @@ from .model import (
     Solution,
     enumeration_bound,
 )
-from .welfare import SetFunctionOracle, agents_of, dual, is_submodular, wpi
+from .welfare import SetFunctionOracle, agents_of, dual, wpi
 
 
 def _solution_from_utilities(o: SetFunctionOracle, utilities, mechanism: str) -> Solution:
@@ -134,8 +134,6 @@ def nucleolus_ws(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
     proper S, subject to u(N) = W_max(N).  Once every excess is fixed the
     singletons pin u.
     """
-    if not ws_core_nonempty(o, d):
-        raise EmptyCoreError("WS-core is empty")
     n = o.n_agents
     full = o.full_mask
     exprs = []
@@ -144,6 +142,10 @@ def nucleolus_ws(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
         g = max(dual(o, members), wpi(d, members))
         exprs.append(([1 if mask >> i & 1 else 0 for i in range(n)], -g))
     _, u = lexicographic_maxmin(n, [([1] * n, EQ, o.wmax_mask(full))], exprs)
+    # the WS-core is exactly {u : u(N) = W_max(N), every excess >= 0}, so it
+    # holds the nucleolus when it is nonempty and no point when it is empty
+    if not (check_domination(u, d) and check_anticore(o, u)):
+        raise EmptyCoreError("WS-core is empty")
     return _solution_from_utilities(o, u, "nucleolus-ws")
 
 
@@ -193,19 +195,7 @@ def compute_disagreement(
 def run_mechanism(tag: str, o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
     inst = o.backing
     if tag == "lexmax":
-        from .egalitarian import lexmax_lp, water_filling
-
-        if not ws_core_nonempty(o, d):
-            raise EmptyCoreError("WS-core is empty")
-        try:
-            submodular = bool(is_submodular(o))
-        except BoundExceededError:
-            submodular = isinstance(inst, MatchingInstance)
-        if submodular:
-            sol, trace = water_filling(o, d)
-            if sol is not None:
-                return sol
-        return lexmax_lp(o, d)
+        return solve_lexmax(o, d)[0]
     if tag == "shapley":
         return shapley(o)
     if tag == "ef-maxmin":

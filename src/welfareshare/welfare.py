@@ -42,62 +42,76 @@ def iter_nonempty_masks(n: int):
 
 
 class SetFunctionOracle:
-    """Evaluates W_max on agent subsets with transparent memoization.
+    """W_max and its argmax on every agent subset, from one dense table.
 
     Backings: a general Instance (max over alternatives) or a
     MatchingInstance (max-weight matching of the subset into the item set;
     every agent in the subset must be matched, negative values allowed).
+    The first query builds the table for all 2^n subsets at once, in
+    O(A * 2^n) additions for A alternatives or O(m * n * 2^n) for m items;
+    every later query is a lookup.
     """
 
     def __init__(self, backing):
-        self.backing = backing
         if isinstance(backing, Instance):
-            self.kind = "general"
+            self.kind, self._build = "general", self._general_table
         elif isinstance(backing, MatchingInstance):
-            self.kind = "matching"
+            self.kind, self._build = "matching", self._matching_table
         else:
             raise TypeError(f"unsupported backing {type(backing)!r}")
+        self.backing = backing
         self.n_agents = backing.n_agents
-        self._memo = {0: Fraction(0)}
+        self._memo = {}  # mask -> W_max, every mask filled by the first query
+        self._argmax = []  # mask -> argmax
 
     @property
     def full_mask(self) -> int:
         return (1 << self.n_agents) - 1
 
     def wmax_mask(self, mask: int) -> Fraction:
-        got = self._memo.get(mask)
-        if got is not None:
-            return got
-        if self.kind == "general":
-            val = max(
-                sum((self.backing.values[i][a] for i in agents_of(mask)), Fraction(0))
-                for a in range(self.backing.n_alternatives)
-            )
-        else:
-            val = self._matching_wmax(mask)
-        self._memo[mask] = val
-        return val
+        if not self._memo:
+            best, self._argmax = self._build()
+            self._memo = dict(enumerate(best))
+        return self._memo[mask]
 
-    def _matching_wmax(self, mask: int) -> Fraction:
-        # DP over item subsets: best total value after placing a prefix of
-        # the subset's agents, keyed by the set of items used.
-        rows = [self.backing.values[i] for i in agents_of(mask)]
-        m = self.backing.n_items
-        states = {0: Fraction(0)}
-        for row in rows:
-            nxt = {}
-            for used, tot in states.items():
-                for j in range(m):
-                    bit = 1 << j
-                    if used & bit:
+    def _general_table(self):
+        # per-alternative subset sums by the low-bit recurrence; a tie keeps
+        # the lowest alternative index
+        size = 1 << self.n_agents
+        best, arg = [Fraction(0)] + [None] * (size - 1), [0] * size
+        for a in range(self.backing.n_alternatives):
+            sums = [Fraction(0)] * size
+            for mask in range(1, size):
+                low = mask & -mask
+                total = sums[mask ^ low] + self.backing.values[low.bit_length() - 1][a]
+                sums[mask] = total
+                if best[mask] is None or total > best[mask]:
+                    best[mask], arg[mask] = total, a
+        return best, arg
+
+    def _matching_table(self):
+        # Items enter one at a time; best[S] is the best assignment of S into
+        # the items so far and assign[S] its item per agent (-1 outside S).
+        # Masks run downwards so an item is placed at most once per pass.
+        # Two partial assignments of S share every completion, so on equal
+        # value keeping the lexicographically smaller one is exact.
+        n = self.n_agents
+        best = [Fraction(0)] + [None] * ((1 << n) - 1)
+        assign = [(-1,) * n] * (1 << n)
+        for j in range(self.backing.n_items):
+            for mask in range((1 << n) - 1, -1, -1):
+                if best[mask] is None:
+                    continue
+                for i in range(n):
+                    grown = mask | 1 << i
+                    if grown == mask:
                         continue
-                    cand = tot + row[j]
-                    key = used | bit
-                    old = nxt.get(key)
-                    if old is None or cand > old:
-                        nxt[key] = cand
-            states = nxt
-        return max(states.values())
+                    cand, old = best[mask] + self.backing.values[i][j], best[grown]
+                    if old is None or cand >= old:
+                        a = assign[mask][:i] + (j,) + assign[mask][i + 1 :]
+                        if old is None or cand > old or a < assign[grown]:
+                            best[grown], assign[grown] = cand, a
+        return best, [tuple(j for j in a if j >= 0) for a in assign]
 
     def wmax(self, agents: Iterable[int]) -> Fraction:
         return self.wmax_mask(mask_of(agents))
@@ -109,52 +123,8 @@ class SetFunctionOracle:
         smallest item-index vector (ordered by the subset's agent order).
         """
         mask = mask_of(agents)
-        if self.kind == "general":
-            best = self.wmax_mask(mask)
-            members = agents_of(mask)
-            for a in range(self.backing.n_alternatives):
-                if sum((self.backing.values[i][a] for i in members), Fraction(0)) == best:
-                    return a
-            raise AssertionError("argmax not found")
-        return self._matching_argmax(mask)
-
-    def _matching_argmax(self, mask: int) -> Tuple[int, ...]:
-        members = agents_of(mask)
-        rows = [self.backing.values[i] for i in members]
-        m = self.backing.n_items
-        k = len(members)
-        memo = {}
-
-        def best(pos: int, used: int) -> Fraction:
-            if pos == k:
-                return Fraction(0)
-            got = memo.get((pos, used))
-            if got is not None:
-                return got
-            val = None
-            for j in range(m):
-                bit = 1 << j
-                if used & bit:
-                    continue
-                cand = rows[pos][j] + best(pos + 1, used | bit)
-                if val is None or cand > val:
-                    val = cand
-            memo[(pos, used)] = val
-            return val
-
-        assignment = []
-        used = 0
-        for pos in range(k):
-            target = best(pos, used)
-            for j in range(m):
-                bit = 1 << j
-                if used & bit:
-                    continue
-                if rows[pos][j] + best(pos + 1, used | bit) == target:
-                    assignment.append(j)
-                    used |= bit
-                    break
-        return tuple(assignment)
+        self.wmax_mask(mask)  # builds the table on first use
+        return self._argmax[mask]
 
     def values_at(self, alternative) -> Tuple[Fraction, ...]:
         """Per-agent value of a full-set alternative id / assignment."""

@@ -10,20 +10,22 @@ from welfareshare.model import Instance, MatchingInstance
 
 
 def random_matching(rng: random.Random, n: int, lo: int = -10, hi: int = 10,
-                    distinct: bool = False) -> MatchingInstance:
-    """Square matching instance with integer values in [lo, hi]."""
+                    distinct: bool = False, n_items: int = None) -> MatchingInstance:
+    """Matching instance with integer values in [lo, hi]; square unless
+    n_items is given."""
+    m = n if n_items is None else n_items
     if distinct:
         rows = []
         for _ in range(n):
-            pool = rng.sample(range(lo * 4, hi * 4 + 1), n)
+            pool = rng.sample(range(lo * 4, hi * 4 + 1), m)
             rows.append(tuple(Fraction(v, 4) for v in pool))
         values = tuple(rows)
     else:
         values = tuple(
-            tuple(Fraction(rng.randint(lo, hi)) for _ in range(n)) for _ in range(n)
+            tuple(Fraction(rng.randint(lo, hi)) for _ in range(m)) for _ in range(n)
         )
     return MatchingInstance(
-        item_ids=tuple(f"item{j}" for j in range(n)),
+        item_ids=tuple(f"item{j}" for j in range(m)),
         values=values,
         agent_ids=tuple(f"agent{i}" for i in range(n)),
         rent=Fraction(0),

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from welfareshare import cli, core, egalitarian, rivals
 from welfareshare.cli import main
-from welfareshare.model import parse_rational
+from welfareshare.model import MAX_EXPONENT, parse_rational
 from welfareshare.welfare import SetFunctionOracle
 
 
@@ -96,6 +97,62 @@ class TestSolve:
         assert code == 0
         doc = json.loads(out)
         assert doc["trace"]["exhausted"] is True
+
+    def test_explain_reuses_the_solve_trace(self, capsys, monkeypatch):
+        calls = []
+        water_filling = egalitarian.water_filling
+
+        def counting(o, d):
+            calls.append(d)
+            return water_filling(o, d)
+
+        for module in (cli, egalitarian, rivals):
+            if hasattr(module, "water_filling"):
+                monkeypatch.setattr(module, "water_filling", counting)
+        code, _, _ = run(capsys, "solve", "fixture:EX1(delta=1/10)", "--explain")
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_explain_lp_fallback_output(self, capsys):
+        # WF_FAIL is not submodular: the LP answers, water filling stalls
+        code, out, _ = run(capsys, "solve", "fixture:WF_FAIL", "--explain")
+        assert code == 0
+        doc = json.loads(out)
+        assert list(doc) == ["mechanism", "alternative", "transfers", "utilities",
+                             "disagreement", "trace"]
+        assert (doc["alternative"], doc["utilities"]) == (1, ["0", "1", "1"])
+        assert doc["trace"] == {
+            "initially_locked": [],
+            "initial_tight": [],
+            "iterations": [
+                {
+                    "increment": "1/3",
+                    "locked": [0, 1, 2],
+                    "tight_sets": [
+                        {"agents": [0, 1], "wmax": "1"},
+                        {"agents": [0, 2], "wmax": "1"},
+                    ],
+                }
+            ],
+            "final_utilities": ["1/3", "2/3", "2/3"],
+            "exhausted": False,
+        }
+        code, out, _ = run(capsys, "solve", "fixture:WF_FAIL", "--explain", "--output", "table")
+        assert code == 0
+        assert out.endswith(
+            "water filling exhausted: False\n  raise by 1/3, lock agents [0, 1, 2]\n"
+        )
+
+    def test_explain_water_filling_output(self, capsys):
+        code, out, _ = run(
+            capsys, "solve", "fixture:EX1(delta=1/10)", "--explain", "--output", "table"
+        )
+        assert code == 0
+        assert out.splitlines()[-3:] == [
+            "student3              3/5         ≈0.6              0",
+            "water filling exhausted: True",
+            "  raise by 1/20, lock agents [0, 1]",
+        ]
 
     def test_csv_output(self, capsys):
         code, out, _ = run(
@@ -187,6 +244,33 @@ class TestExitCodes:
         assert code == 2
         assert err == "error: disagreement has 3 utilities for 2 agents\n"
 
+    @pytest.mark.parametrize(
+        "where, text",
+        [
+            ("values", "1/0"),
+            ("rent", "1/0"),
+            ("embedded", "1/0"),
+            ("file", "1/0"),
+            ("values", f"1e{MAX_EXPONENT + 1}"),
+        ],
+    )
+    def test_unparseable_rational(self, capsys, tmp_path, where, text):
+        doc = dict(EX_MATCHING)
+        argv = []
+        if where == "values":
+            doc["values"] = [[text, "1"], ["1", "2"]]
+        elif where == "rent":
+            doc["rent"] = text
+        elif where == "embedded":
+            doc["disagreement"] = {"mode": "explicit", "utilities": [text, "0"]}
+        else:
+            dfile = tmp_path / "d.json"
+            dfile.write_text(json.dumps({"utilities": [text, "0"]}))
+            argv = ["--disagreement", f"explicit={dfile}"]
+        code, _, err = run(capsys, "solve", write_instance(tmp_path / "inst.json", doc), *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_default_rp_beyond_bound(self, capsys, tmp_path):
         n = 11
         doc = {
@@ -220,6 +304,33 @@ class TestOracleReuse:
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert len(built) == 1
+
+
+class TestCoreLPOnce:
+    def test_compare_solves_ws_core_lp_once(self, capsys, monkeypatch):
+        calls = []
+        verdict = core.ws_core_nonempty
+
+        def counting(o, d):
+            calls.append(d)
+            return verdict(o, d)
+
+        for module in (cli, core, egalitarian, rivals):
+            if hasattr(module, "ws_core_nonempty"):
+                monkeypatch.setattr(module, "ws_core_nonempty", counting)
+        code, _, _ = run(capsys, "compare", "fixture:EX1(delta=1/10)", "--output", "json")
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_empty_core_still_reported(self, capsys):
+        code, out, _ = run(capsys, "compare", "fixture:EMPTY_CORE", "--output", "json")
+        assert code == 0
+        errors = {e["mechanism"]: e.get("error") for e in json.loads(out)}
+        assert errors["lexmax"] == errors["nucleolus-ws"] == "empty WS-core"
+        assert errors["shapley"] is None
+        code, _, err = run(capsys, "solve", "fixture:EMPTY_CORE", "--mechanism", "nucleolus-ws")
+        assert code == 4
+        assert err == "error: WS-core is empty\n"
 
 
 class TestCheck:

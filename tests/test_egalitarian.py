@@ -12,13 +12,14 @@ from conftest import random_matching
 
 import welfareshare
 from welfareshare.core import EmptyCoreError, check_anticore, check_domination
-from welfareshare.disagreement import rp_exact
+from welfareshare.disagreement import rp_exact, uniform
 from welfareshare.egalitarian import (
     lexmax_lp,
     lorenz_compare,
     min_square_diag,
     reconstruct_from_trace,
     sample_ws_core_point,
+    solve_lexmax,
     sum_squares,
     water_filling,
 )
@@ -144,6 +145,45 @@ class TestLexmaxLP:
             sol, trace = water_filling(o, d)
             assert trace.exhausted
             assert lexmax_lp(o, d).utilities == sol.utilities
+
+
+class TestSolveLexmax:
+    def test_matching_skips_submodularity_check(self, monkeypatch):
+        def refuse(o):
+            raise AssertionError("is_submodular called on a matching")
+
+        monkeypatch.setattr(welfareshare.egalitarian, "is_submodular", refuse)
+        rng = random.Random(403)
+        for k in range(30):
+            n = rng.randint(1, 5)
+            m = random_matching(rng, n, lo=-2, hi=2, n_items=n + k % 2)
+            o = SetFunctionOracle(m)
+            d = uniform(m)
+            sol, trace = solve_lexmax(o, d)
+            assert trace.exhausted
+            assert sol.utilities == lexmax_lp(o, d).utilities
+
+    def test_general_instance_is_checked(self, monkeypatch):
+        calls = []
+        check = welfareshare.egalitarian.is_submodular
+
+        def counting(o):
+            calls.append(o)
+            return check(o)
+
+        monkeypatch.setattr(welfareshare.egalitarian, "is_submodular", counting)
+        o = SetFunctionOracle(fixture("EX2"))
+        d = zero_disagreement(6)
+        sol, trace = solve_lexmax(o, d)
+        assert trace.exhausted and len(calls) == 1
+        assert sol.utilities == lexmax_lp(o, d).utilities
+
+    def test_lp_fallback_keeps_the_trace(self):
+        o, d = wf_fail_setup()
+        sol, trace = solve_lexmax(o, d)
+        assert sol.utilities == (0, 1, 1)
+        assert not trace.exhausted
+        assert trace == water_filling(o, d)[1]
 
 
 class TestSumSquares:

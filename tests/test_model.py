@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from welfareshare.model import (
+    MAX_DIGITS,
+    MAX_EXPONENT,
     DisagreementPoint,
     Instance,
     MatchingInstance,
@@ -42,6 +44,23 @@ class TestParseRational:
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_rational("one half")
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "-3/0"])
+    def test_rejects_zero_denominator(self, text):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_rational(text)
+
+    def test_exponent_cap(self):
+        assert parse_rational(f"1e{MAX_EXPONENT}") == 10**MAX_EXPONENT
+        assert parse_rational(f"1e-{MAX_EXPONENT}") == Fraction(1, 10**MAX_EXPONENT)
+        for text in (f"1e{MAX_EXPONENT + 1}", f"2.5E-{MAX_EXPONENT + 1}"):
+            with pytest.raises(ValueError, match="exponent"):
+                parse_rational(text)
+
+    def test_digit_cap(self):
+        assert parse_rational("9" * MAX_DIGITS) == 10**MAX_DIGITS - 1
+        with pytest.raises(ValueError, match="digits"):
+            parse_rational("1/" + "9" * MAX_DIGITS)
 
     @given(st.fractions())
     def test_format_round_trip(self, x):

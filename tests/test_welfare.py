@@ -4,7 +4,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from conftest import random_matching
+from conftest import random_general, random_matching
 
 from welfareshare.model import DisagreementPoint, fixture
 from welfareshare.welfare import (
@@ -87,6 +87,148 @@ class TestArgmax:
             assert sum(m.values[i][j] for i, j in zip(S, assignment)) == wmax(o, S)
 
 
+# ---------------------------------------------------------------------------
+# Reference W_max paths: one DP (or sum) per coalition, as the oracle used to
+# compute them before its dense table.  The table must agree with them
+# exactly, value and argmax, on every coalition.
+# ---------------------------------------------------------------------------
+
+
+def _matching_wmax(inst, mask):
+    # DP over item subsets: best total value after placing a prefix of
+    # the subset's agents, keyed by the set of items used.
+    rows = [inst.values[i] for i in agents_of(mask)]
+    states = {0: Fraction(0)}
+    for row in rows:
+        nxt = {}
+        for used, tot in states.items():
+            for j in range(inst.n_items):
+                bit = 1 << j
+                if used & bit:
+                    continue
+                cand = tot + row[j]
+                old = nxt.get(used | bit)
+                if old is None or cand > old:
+                    nxt[used | bit] = cand
+        states = nxt
+    return max(states.values())
+
+
+def _matching_argmax(inst, mask):
+    rows = [inst.values[i] for i in agents_of(mask)]
+    m = inst.n_items
+    k = len(rows)
+    memo = {}
+
+    def best(pos, used):
+        if pos == k:
+            return Fraction(0)
+        got = memo.get((pos, used))
+        if got is not None:
+            return got
+        val = None
+        for j in range(m):
+            bit = 1 << j
+            if used & bit:
+                continue
+            cand = rows[pos][j] + best(pos + 1, used | bit)
+            if val is None or cand > val:
+                val = cand
+        memo[(pos, used)] = val
+        return val
+
+    assignment = []
+    used = 0
+    for pos in range(k):
+        target = best(pos, used)
+        for j in range(m):
+            bit = 1 << j
+            if used & bit:
+                continue
+            if rows[pos][j] + best(pos + 1, used | bit) == target:
+                assignment.append(j)
+                used |= bit
+                break
+    return tuple(assignment)
+
+
+def _general_wmax_argmax(inst, mask):
+    members = agents_of(mask)
+    sums = [
+        sum((inst.values[i][a] for i in members), Fraction(0))
+        for a in range(inst.n_alternatives)
+    ]
+    best = max(sums)
+    return best, sums.index(best)
+
+
+def _matching_brute_force(inst, mask):
+    """(W_max, lexicographically smallest optimal assignment) by enumeration."""
+    S = agents_of(mask)
+    best = None
+    for items in itertools.permutations(range(inst.n_items), len(S)):
+        total = sum((inst.values[i][j] for i, j in zip(S, items)), Fraction(0))
+        if best is None or total > best[0]:  # permutations come in lex order
+            best = (total, items)
+    return best
+
+
+def _tie_heavy_matchings(seed, max_n, count):
+    """Square and rectangular matchings, with values from {-2..2}, from
+    {-10..10}, from distinct quarters, or all equal."""
+    rng = random.Random(seed)
+    for k in range(count):
+        n = rng.randint(1, max_n)
+        n_items = n + rng.choice((0, 0, 1, 2))
+        style = k % 4
+        if style == 0:
+            yield random_matching(rng, n, lo=-2, hi=2, n_items=n_items)
+        elif style == 1:
+            yield random_matching(rng, n, n_items=n_items)
+        elif style == 2:
+            yield random_matching(rng, n, lo=-3, hi=3, distinct=True, n_items=n_items)
+        else:
+            yield random_matching(rng, n, lo=1, hi=1, n_items=n_items)
+
+
+class TestTableDifferential:
+    def test_matching_table_equals_per_coalition_dps(self):
+        for m in _tie_heavy_matchings(111, 6, 60):
+            o = SetFunctionOracle(m)
+            for mask in range(1 << m.n_agents):
+                if mask:
+                    assert o.wmax_mask(mask) == _matching_wmax(m, mask)
+                assert o.wmax_argmax(agents_of(mask)) == _matching_argmax(m, mask)
+
+    def test_matching_table_equals_brute_force(self):
+        for m in _tie_heavy_matchings(112, 5, 60):
+            o = SetFunctionOracle(m)
+            for mask in range(1, 1 << m.n_agents):
+                value, items = _matching_brute_force(m, mask)
+                assert o.wmax_mask(mask) == value
+                assert o.wmax_argmax(agents_of(mask)) == items
+
+    def test_general_table_equals_per_coalition_sums(self):
+        rng = random.Random(113)
+        for k in range(60):
+            n = rng.randint(1, 6)
+            lo, hi = ((-2, 2), (-10, 10), (0, 0))[k % 3]
+            inst = random_general(rng, n, rng.randint(1, 6), lo=lo, hi=hi)
+            o = SetFunctionOracle(inst)
+            for mask in range(1, 1 << n):
+                value, alt = _general_wmax_argmax(inst, mask)
+                assert o.wmax_mask(mask) == value
+                assert o.wmax_argmax(agents_of(mask)) == alt
+
+    def test_table_built_once_on_first_query(self):
+        o = SetFunctionOracle(fixture("EX4"))
+        assert o._memo == {}
+        o.wmax_argmax((0, 1))
+        table = o._memo
+        assert sorted(table) == list(range(1 << 4))
+        assert o.wmax((0, 1, 2, 3)) == 6 and o._memo is table
+
+
 class TestDual:
     def test_grand_coalition(self):
         o = SetFunctionOracle(fixture("EX3"))
@@ -133,6 +275,10 @@ class TestSubmodularity:
         rng = random.Random(103)
         for _ in range(25):
             m = random_matching(rng, rng.randint(2, 5))
+            assert is_submodular(SetFunctionOracle(m))
+        # lexmax skips the check on matchings, so cover rectangular,
+        # negative and tie-heavy ones too
+        for m in _tie_heavy_matchings(104, 6, 120):
             assert is_submodular(SetFunctionOracle(m))
 
     def test_mask_helpers(self):
