@@ -15,10 +15,9 @@ from fractions import Fraction
 from . import decompose as dec
 from .core import EmptyCoreError, check_anticore, ws_core_nonempty
 from .disagreement import eating
-# water_filling is unused here, but bench/selftest.py checks that the tracer
-# rebinds and restores this module's binding of it
-from .egalitarian import WaterFillingTrace, solve_lexmax, water_filling  # noqa: F401
+from .egalitarian import WaterFillingTrace, solve_lexmax, water_filling
 from .model import (
+    BoundExceededError,
     DisagreementPoint,
     Instance,
     MatchingInstance,
@@ -176,7 +175,7 @@ def trace_doc(trace: WaterFillingTrace):
 
 
 def emit_solution(o, sol, d, args, trace=None):
-    """Print the solution and, with --explain, solve_lexmax's trace."""
+    """Print the solution and, with --explain, the water-filling trace."""
     inst = o.backing
     explain = trace is not None and getattr(args, "explain", False)
     fmt = getattr(args, "output", "json")
@@ -217,6 +216,9 @@ def cmd_solve(args) -> int:
     d = resolve_disagreement(inst, args, embedded)
     if args.mechanism == "lexmax":
         sol, trace = solve_lexmax(o, d)
+        if trace is None and args.explain:
+            # the LP decided; --explain still shows where water filling stops
+            trace = water_filling(o, d)[1]
     else:
         sol, trace = run_mechanism(args.mechanism, o, d), None
     emit_solution(o, sol, d, args, trace)
@@ -378,7 +380,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except IncompatibleOptionsError as exc:
+    except (IncompatibleOptionsError, BoundExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
     except EmptyCoreError as exc:

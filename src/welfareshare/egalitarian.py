@@ -117,19 +117,19 @@ def water_filling(
 
 def solve_lexmax(
     o: SetFunctionOracle, d: DisagreementPoint
-) -> Tuple[Solution, WaterFillingTrace]:
-    """The lexmax solution and the water-filling trace of the instance.
+) -> Tuple[Solution, Optional[WaterFillingTrace]]:
+    """The lexmax solution, and the water-filling trace when it decided.
 
-    Water filling always runs, for the trace, but its answer stands only
-    when it exhausts the welfare and W_max is submodular; otherwise the LP
-    fallback decides.
+    Water filling runs only when W_max is submodular, where it exhausts the
+    welfare; otherwise the LP fallback decides and the trace is None.
     """
     if not ws_core_nonempty(o, d):
         raise EmptyCoreError("WS-core is empty")
-    sol, trace = water_filling(o, d)
-    if sol is None or not _submodular(o):
-        sol = lexmax_lp(o, d)
-    return sol, trace
+    if _submodular(o):
+        sol, trace = water_filling(o, d)
+        if sol is not None:
+            return sol, trace
+    return lexmax_lp(o, d), None
 
 
 def _submodular(o: SetFunctionOracle) -> bool:

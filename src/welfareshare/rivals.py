@@ -15,6 +15,7 @@ from .core import (
     check_anticore,
     check_domination,
     lexicographic_maxmin,
+    ws_core_nonempty,
 )
 from .egalitarian import solve_lexmax
 from .model import (
@@ -134,6 +135,8 @@ def nucleolus_ws(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
     proper S, subject to u(N) = W_max(N).  Once every excess is fixed the
     singletons pin u.
     """
+    if not ws_core_nonempty(o, d):
+        raise EmptyCoreError("WS-core is empty")
     n = o.n_agents
     full = o.full_mask
     exprs = []
@@ -142,10 +145,6 @@ def nucleolus_ws(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
         g = max(dual(o, members), wpi(d, members))
         exprs.append(([1 if mask >> i & 1 else 0 for i in range(n)], -g))
     _, u = lexicographic_maxmin(n, [([1] * n, EQ, o.wmax_mask(full))], exprs)
-    # the WS-core is exactly {u : u(N) = W_max(N), every excess >= 0}, so it
-    # holds the nucleolus when it is nonempty and no point when it is empty
-    if not (check_domination(u, d) and check_anticore(o, u)):
-        raise EmptyCoreError("WS-core is empty")
     return _solution_from_utilities(o, u, "nucleolus-ws")
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Optional, Tuple
 
 from .model import (
@@ -41,27 +42,30 @@ def iter_nonempty_masks(n: int):
     return range(1, 1 << n)
 
 
+# a table has 2^n entries; README gives a build's time and memory at 18 agents
+MAX_TABLE_AGENTS = 18
+
+
 class SetFunctionOracle:
     """W_max and its argmax on every agent subset, from one dense table.
 
     Backings: a general Instance (max over alternatives) or a
     MatchingInstance (max-weight matching of the subset into the item set;
     every agent in the subset must be matched, negative values allowed).
-    The first query builds the table for all 2^n subsets at once, in
-    O(A * 2^n) additions for A alternatives or O(m * n * 2^n) for m items;
-    every later query is a lookup.
+    The first query builds the table for all 2^n subsets, in O(A * 2^n)
+    additions for A alternatives or O(m * n * 2^n) for m items, or raises
+    BoundExceededError past MAX_TABLE_AGENTS agents; later queries look up.
     """
 
     def __init__(self, backing):
-        if isinstance(backing, Instance):
-            self.kind, self._build = "general", self._general_table
-        elif isinstance(backing, MatchingInstance):
-            self.kind, self._build = "matching", self._matching_table
-        else:
+        if not isinstance(backing, (Instance, MatchingInstance)):
             raise TypeError(f"unsupported backing {type(backing)!r}")
+        self.kind = "general" if isinstance(backing, Instance) else "matching"
         self.backing = backing
         self.n_agents = backing.n_agents
-        self._memo = {}  # mask -> W_max, every mask filled by the first query
+        # mask -> W_max; a dict, not the builder's list, only for the
+        # memo-miss test in bench/tracer.py
+        self._memo = {}
         self._argmax = []  # mask -> argmax
 
     @property
@@ -70,13 +74,17 @@ class SetFunctionOracle:
 
     def wmax_mask(self, mask: int) -> Fraction:
         if not self._memo:
-            best, self._argmax = self._build()
+            if self.n_agents > MAX_TABLE_AGENTS:
+                raise BoundExceededError(
+                    f"the W_max table takes at most {MAX_TABLE_AGENTS} agents, not {self.n_agents}"
+                )
+            build = self._general_table if self.kind == "general" else self._matching_table
+            best, self._argmax = build()
             self._memo = dict(enumerate(best))
         return self._memo[mask]
 
     def _general_table(self):
-        # per-alternative subset sums by the low-bit recurrence; a tie keeps
-        # the lowest alternative index
+        # per-alternative low-bit subset sums; a tie keeps the lowest alternative
         size = 1 << self.n_agents
         best, arg = [Fraction(0)] + [None] * (size - 1), [0] * size
         for a in range(self.backing.n_alternatives):
@@ -90,11 +98,10 @@ class SetFunctionOracle:
         return best, arg
 
     def _matching_table(self):
-        # Items enter one at a time; best[S] is the best assignment of S into
-        # the items so far and assign[S] its item per agent (-1 outside S).
-        # Masks run downwards so an item is placed at most once per pass.
-        # Two partial assignments of S share every completion, so on equal
-        # value keeping the lexicographically smaller one is exact.
+        # Items enter one at a time, masks downwards so an item is placed at
+        # most once per pass; best[S] and assign[S] (item per agent, -1 outside
+        # S) hold S's best assignment so far.  Partial assignments of S share
+        # every completion, so keeping the lex-smaller one on a tie is exact.
         n = self.n_agents
         best = [Fraction(0)] + [None] * ((1 << n) - 1)
         assign = [(-1,) * n] * (1 << n)
@@ -130,9 +137,7 @@ class SetFunctionOracle:
         """Per-agent value of a full-set alternative id / assignment."""
         if self.kind == "general":
             return tuple(row[alternative] for row in self.backing.values)
-        return tuple(
-            self.backing.values[i][alternative[i]] for i in range(self.n_agents)
-        )
+        return tuple(self.backing.values[i][j] for i, j in enumerate(alternative))
 
 
 def wmax(o: SetFunctionOracle, S: Iterable[int]) -> Fraction:
@@ -174,15 +179,8 @@ def is_submodular(o: SetFunctionOracle) -> SubmodularityVerdict:
     if n > enumeration_bound("submodular"):
         raise BoundExceededError("submodularity check exceeds enumeration bound")
     for base in range(1 << n):
-        for i in range(n):
-            if base & (1 << i):
-                continue
-            for j in range(i + 1, n):
-                if base & (1 << j):
-                    continue
-                si = base | (1 << i)
-                sj = base | (1 << j)
-                both = si | (1 << j)
-                if o.wmax_mask(si) + o.wmax_mask(sj) < o.wmax_mask(base) + o.wmax_mask(both):
-                    return SubmodularityVerdict(False, (agents_of(si), agents_of(sj)))
+        for i, j in combinations([i for i in range(n) if not base >> i & 1], 2):
+            si, sj = base | 1 << i, base | 1 << j
+            if o.wmax_mask(si) + o.wmax_mask(sj) < o.wmax_mask(base) + o.wmax_mask(si | sj):
+                return SubmodularityVerdict(False, (agents_of(si), agents_of(sj)))
     return SubmodularityVerdict(True)

@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from welfareshare import cli, core, egalitarian, rivals
+from welfareshare import cli, egalitarian, rivals
 from welfareshare.cli import main
 from welfareshare.model import MAX_EXPONENT, parse_rational
-from welfareshare.welfare import SetFunctionOracle
+from welfareshare.welfare import MAX_TABLE_AGENTS, SetFunctionOracle
 
 
 def run(capsys, *argv):
@@ -98,7 +98,15 @@ class TestSolve:
         doc = json.loads(out)
         assert doc["trace"]["exhausted"] is True
 
-    def test_explain_reuses_the_solve_trace(self, capsys, monkeypatch):
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["fixture:EX1(delta=1/10)", "--explain"], 1),
+            (["fixture:WF_FAIL", "--explain"], 1),
+            (["fixture:WF_FAIL"], 0),
+        ],
+    )
+    def test_water_filling_runs_at_most_once(self, capsys, monkeypatch, argv, expected):
         calls = []
         water_filling = egalitarian.water_filling
 
@@ -109,9 +117,9 @@ class TestSolve:
         for module in (cli, egalitarian, rivals):
             if hasattr(module, "water_filling"):
                 monkeypatch.setattr(module, "water_filling", counting)
-        code, _, _ = run(capsys, "solve", "fixture:EX1(delta=1/10)", "--explain")
+        code, _, _ = run(capsys, "solve", *argv)
         assert code == 0
-        assert len(calls) == 1
+        assert len(calls) == expected
 
     def test_explain_lp_fallback_output(self, capsys):
         # WF_FAIL is not submodular: the LP answers, water filling stalls
@@ -220,6 +228,20 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "n, mechanism, message",
+        [
+            (MAX_TABLE_AGENTS + 1, "nash", f"takes at most {MAX_TABLE_AGENTS} agents"),
+            (15, "shapley", "shapley enumeration bound exceeded"),
+        ],
+    )
+    def test_past_enumeration_bound(self, capsys, tmp_path, n, mechanism, message):
+        doc = {"kind": "general", "alternatives": ["a", "b"], "values": [["1", "0"]] * n}
+        path = write_instance(tmp_path / "big.json", doc)
+        code, out, err = run(capsys, "solve", path, "--mechanism", mechanism)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and message in err
+
     @pytest.mark.parametrize("where", ["embedded", "file"])
     def test_float_disagreement_utility(self, capsys, tmp_path, where):
         utilities = [1.5, "0"]
@@ -306,23 +328,8 @@ class TestOracleReuse:
         assert len(built) == 1
 
 
-class TestCoreLPOnce:
-    def test_compare_solves_ws_core_lp_once(self, capsys, monkeypatch):
-        calls = []
-        verdict = core.ws_core_nonempty
-
-        def counting(o, d):
-            calls.append(d)
-            return verdict(o, d)
-
-        for module in (cli, core, egalitarian, rivals):
-            if hasattr(module, "ws_core_nonempty"):
-                monkeypatch.setattr(module, "ws_core_nonempty", counting)
-        code, _, _ = run(capsys, "compare", "fixture:EX1(delta=1/10)", "--output", "json")
-        assert code == 0
-        assert len(calls) == 1
-
-    def test_empty_core_still_reported(self, capsys):
+class TestEmptyCore:
+    def test_empty_core_reported(self, capsys):
         code, out, _ = run(capsys, "compare", "fixture:EMPTY_CORE", "--output", "json")
         assert code == 0
         errors = {e["mechanism"]: e.get("error") for e in json.loads(out)}

@@ -172,18 +172,21 @@ class TestSolveLexmax:
             return check(o)
 
         monkeypatch.setattr(welfareshare.egalitarian, "is_submodular", counting)
-        o = SetFunctionOracle(fixture("EX2"))
+        o = SetFunctionOracle(fixture("EX2"))  # not submodular: the LP decides
         d = zero_disagreement(6)
         sol, trace = solve_lexmax(o, d)
-        assert trace.exhausted and len(calls) == 1
+        assert trace is None and len(calls) == 1
         assert sol.utilities == lexmax_lp(o, d).utilities
 
-    def test_lp_fallback_keeps_the_trace(self):
+    def test_lp_fallback_skips_water_filling(self, monkeypatch):
+        def refuse(o, d):
+            raise AssertionError("water filling ran on a non-submodular instance")
+
+        monkeypatch.setattr(welfareshare.egalitarian, "water_filling", refuse)
         o, d = wf_fail_setup()
         sol, trace = solve_lexmax(o, d)
         assert sol.utilities == (0, 1, 1)
-        assert not trace.exhausted
-        assert trace == water_filling(o, d)[1]
+        assert trace is None
 
 
 class TestSumSquares:

@@ -4,10 +4,12 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
 from conftest import random_general, random_matching
 
-from welfareshare.model import DisagreementPoint, fixture
+from welfareshare.model import BoundExceededError, DisagreementPoint, Instance, fixture
 from welfareshare.welfare import (
+    MAX_TABLE_AGENTS,
     SetFunctionOracle,
     agents_of,
     dual,
@@ -227,6 +229,13 @@ class TestTableDifferential:
         table = o._memo
         assert sorted(table) == list(range(1 << 4))
         assert o.wmax((0, 1, 2, 3)) == 6 and o._memo is table
+
+    def test_table_refused_past_its_bound(self):
+        n = MAX_TABLE_AGENTS + 1
+        o = SetFunctionOracle(Instance(alternative_ids=("a",), values=[["1"]] * n))
+        with pytest.raises(BoundExceededError, match=f"at most {MAX_TABLE_AGENTS} agents"):
+            o.wmax_mask(o.full_mask)
+        assert o._memo == {}
 
 
 class TestDual:
