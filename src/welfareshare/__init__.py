@@ -22,7 +22,6 @@ from .disagreement import eating, rp_exact, rp_montecarlo, uniform
 from .egalitarian import (
     lexmax_lp,
     lorenz_compare,
-    min_square_diag,
     solve_lexmax,
     sum_squares,
     water_filling,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .model import DisagreementPoint
 from .welfare import SetFunctionOracle, agents_of, is_submodular, wpi
@@ -31,6 +31,9 @@ class LPResult:
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Optional[Fraction] = None
     point: Optional[Tuple[Fraction, ...]] = None
+    # inequality rows tight at every optimum: their slack column has a
+    # strictly positive reduced cost in the final tableau
+    binding: Tuple[int, ...] = ()
 
 
 class InfeasibleError(ValueError):
@@ -137,8 +140,11 @@ def simplex_solve(lp: LinearProgram) -> LPResult:
     slack_at = base_cols
     art_at = base_cols + n_slack
     art_cols = set(range(art_at, ncols))
-    for coeffs, rel, rhs in normed:
+    slack_of = []  # (row index, slack column) per inequality row
+    for k, (coeffs, rel, rhs) in enumerate(normed):
         row = coeffs + [Fraction(0)] * (ncols - base_cols) + [rhs]
+        if rel != EQ:
+            slack_of.append((k, slack_at))
         if rel == LE:
             row[slack_at] = Fraction(1)
             basis.append(slack_at)
@@ -190,7 +196,8 @@ def simplex_solve(lp: LinearProgram) -> LPResult:
     else:
         point = tuple(std[:nv])
     value = obj[-1] if lp.maximize else -obj[-1]
-    return LPResult(status="optimal", value=value, point=point)
+    binding = tuple(k for k, col in slack_of if obj[col] > 0)
+    return LPResult(status="optimal", value=value, point=point, binding=binding)
 
 
 # ---------------------------------------------------------------------------
@@ -203,29 +210,67 @@ def _expr_value(expr, point):
     return sum((c * x for c, x in zip(coeffs, point)), Fraction(const))
 
 
+def _reduce(span, row):
+    """row minus its projection on the echelon rows of span (exact)."""
+    for col, basis_row in span:
+        factor = row[col]
+        if factor:
+            row = [x - factor * y for x, y in zip(row, basis_row)]
+    return row
+
+
+def _extend_span(span, row):
+    row = _reduce(span, row)
+    col = next((j for j, x in enumerate(row) if x), None)
+    if col is not None:
+        span.append((col, [x / row[col] for x in row]))
+
+
 def lexicographic_maxmin(n_vars, constraints, exprs):
     """Lexicographically maximize the sorted vector of affine expressions.
 
     constraints: (row, rel, rhs) over the n_vars variables.
     exprs: list of (coeff row, constant).
-    Returns (levels per expr, a feasible variable point).
+    Returns (levels per expr, a feasible point attaining them).
+
+    The levels are unique: over a convex set the leximin vector of the
+    expression values is.  The point is unique only when the expressions
+    pin the variables, as the singletons do in `nucleolus_ws`, the u_i in
+    `lexmax_lp` and the per-item transfers in `ef_maxmin`.
+
+    Each round maximizes the common floor t of the unfixed expressions and
+    fixes at its optimum t* every expression that cannot rise above t* on
+    the level set {all unfixed >= t*}.  Three exact rules spare most of the
+    probe LPs that would decide this one expression at a time:
+    - binding: an expression whose floor row is tight at every optimum of
+      the round's LP (`LPResult.binding`) is fixed without a probe.
+    - probe points: an expression above t* at the round's point, or at the
+      point of a probe that lifted another expression, can rise.
+    - span: after a round, an expression whose coefficient row lies in the
+      span of the equality constraints and the fixed rows is constant on
+      the feasible set; it is fixed at its value, with no round of its own.
+    A tight expression whose floor row has reduced cost 0 and that no probe
+    point has lifted still takes a probe.  Once no expression is left, one
+    LP over the fixed rows gives the point.
     """
     constraints = [
         ([Fraction(v) for v in row], rel, Fraction(rhs)) for row, rel, rhs in constraints
     ]
     exprs = [([Fraction(c) for c in row], Fraction(const)) for row, const in exprs]
-    unfixed = set(range(len(exprs)))
+    span: list = []
+    for row, rel, _ in constraints:
+        if rel == EQ:
+            _extend_span(span, row)
+    unfixed = list(range(len(exprs)))
     fixed_rows: list = []
     levels: dict = {}
 
-    def with_t(rows):
-        return [(list(r) + [Fraction(0)], rel, rhs) for r, rel, rhs in rows]
-
     while unfixed:
-        rows = with_t(constraints + fixed_rows)
+        base = constraints + fixed_rows
+        rows = [(r + [Fraction(0)], rel, rhs) for r, rel, rhs in base]
         for k in unfixed:
             coeffs, const = exprs[k]
-            rows.append((list(coeffs) + [Fraction(-1)], GE, -const))
+            rows.append((coeffs + [Fraction(-1)], GE, -const))
         objective = [Fraction(0)] * n_vars + [Fraction(1)]
         res = simplex_solve(
             LinearProgram(n_vars + 1, objective, rows, maximize=True)
@@ -240,23 +285,36 @@ def lexicographic_maxmin(n_vars, constraints, exprs):
             (coeffs, GE, t_star - const)
             for coeffs, const in (exprs[k] for k in unfixed)
         ]
-        newly = []
-        for k in sorted(unfixed):
-            if _expr_value(exprs[k], point) != t_star:
+        newly = {unfixed[r - len(base)] for r in res.binding if r >= len(base)}
+        risen = {k for k in unfixed if _expr_value(exprs[k], point) != t_star}
+        for k in unfixed:
+            if k in newly or k in risen:
                 continue
             coeffs, const = exprs[k]
-            probe = simplex_solve(
-                LinearProgram(n_vars, coeffs, constraints + fixed_rows + floor_rows)
-            )
-            if probe.status == "optimal" and probe.value + const == t_star:
-                newly.append(k)
+            probe = simplex_solve(LinearProgram(n_vars, coeffs, base + floor_rows))
+            if probe.status != "optimal":
+                continue
+            if probe.value + const == t_star:
+                newly.add(k)
+            else:
+                risen.update(
+                    j for j in unfixed if _expr_value(exprs[j], probe.point) > t_star
+                )
         if not newly:
             raise AssertionError("lexicographic max-min made no progress")
-        for k in newly:
-            coeffs, const = exprs[k]
-            fixed_rows.append((coeffs, EQ, t_star - const))
-            levels[k] = t_star
-            unfixed.discard(k)
+        for k in unfixed:
+            if k in newly:
+                coeffs, const = exprs[k]
+                fixed_rows.append((coeffs, EQ, t_star - const))
+                levels[k] = t_star
+                _extend_span(span, coeffs)
+        # the round's point meets every fixed row, so it gives the value of
+        # each expression that the span now holds
+        unfixed = [k for k in unfixed if k not in levels]
+        for k in unfixed:
+            if not any(_reduce(span, exprs[k][0])):
+                levels[k] = _expr_value(exprs[k], point)
+        unfixed = [k for k in unfixed if k not in levels]
 
     final = simplex_solve(
         LinearProgram(n_vars, [Fraction(0)] * n_vars, constraints + fixed_rows)

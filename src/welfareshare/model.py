@@ -1,7 +1,7 @@
 """Domain types: exact rationals, instances, disagreement points, solutions.
 
 All arithmetic in the solvers is done on `fractions.Fraction`; floats never
-enter except through the explicitly opt-in diagnostic paths.
+enter them.
 """
 
 from __future__ import annotations

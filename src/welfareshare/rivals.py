@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Dict
 
 from .core import (
@@ -53,21 +52,6 @@ def shapley(o: SetFunctionOracle) -> Solution:
                 continue
             phi[i] += weight * (o.wmax_mask(mask | bit) - base)
     return _solution_from_utilities(o, phi, "shapley")
-
-
-def shapley_by_permutations(o: SetFunctionOracle):
-    """Order-enumeration Shapley; cross-check path for small n."""
-    n = o.n_agents
-    totals = [Fraction(0)] * n
-    count = 0
-    for order in permutations(range(n)):
-        mask = 0
-        for i in order:
-            before = o.wmax_mask(mask)
-            mask |= 1 << i
-            totals[i] += o.wmax_mask(mask) - before
-        count += 1
-    return tuple(t / count for t in totals)
 
 
 def ef_maxmin(o: SetFunctionOracle) -> Solution:

@@ -11,12 +11,11 @@ import pytest
 from conftest import random_matching
 
 import welfareshare
-from welfareshare.core import EmptyCoreError, check_anticore, check_domination
+from welfareshare.core import EmptyCoreError, check_anticore, check_domination, ws_core_nonempty
 from welfareshare.disagreement import rp_exact, uniform
 from welfareshare.egalitarian import (
     lexmax_lp,
     lorenz_compare,
-    min_square_diag,
     reconstruct_from_trace,
     sample_ws_core_point,
     solve_lexmax,
@@ -228,6 +227,64 @@ class TestSampling:
                 assert check_anticore(o, u)
                 assert check_domination(u, d)
                 assert sum(u) == wmax(o, range(n))
+
+
+def min_square_diag(o: SetFunctionOracle, d: DisagreementPoint, tol: float):
+    """Float Frank-Wolfe (fully corrective) minimization of the squared
+    gains sum((u_i - d_i)^2) over the WS-core: a float cross-check of
+    the exact solvers."""
+    import numpy as np
+    from scipy.optimize import linprog, minimize
+
+    verdict = ws_core_nonempty(o, d)
+    if not verdict:
+        raise EmptyCoreError("WS-core is empty")
+    n = o.n_agents
+    a_ub, b_ub = [], []
+    for mask in range(1, 1 << n):
+        if mask == o.full_mask:
+            continue
+        a_ub.append([1.0 if mask & (1 << i) else 0.0 for i in range(n)])
+        b_ub.append(float(o.wmax_mask(mask)))
+    a_eq = [[1.0] * n]
+    b_eq = [float(o.wmax_mask(o.full_mask))]
+    bounds = [(float(d[i]), None) for i in range(n)]
+
+    if not a_ub:
+        a_ub, b_ub = None, None
+
+    def vertex(c):
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
+        if not res.success:
+            raise RuntimeError(f"inner LP failed: {res.message}")
+        return res.x
+
+    dvec = np.array([float(x) for x in d.utilities])
+    vertices = [np.array([float(x) for x in verdict.witness])]
+    lam = np.array([1.0])
+    for _ in range(500):
+        u = lam @ np.array(vertices)
+        grad = 2.0 * (u - dvec)
+        s = vertex(grad)
+        gap = float(grad @ (u - s))
+        if gap <= tol:
+            return [float(x) for x in u]
+        vertices.append(np.array(s))
+        v = np.array(vertices)
+        k = len(vertices)
+        x0 = np.append(lam, 0.0)
+        res = minimize(
+            lambda l: float(((l @ v - dvec) ** 2).sum()),
+            x0,
+            jac=lambda l: 2.0 * (v @ (l @ v - dvec)),
+            bounds=[(0.0, 1.0)] * k,
+            constraints=[{"type": "eq", "fun": lambda l: l.sum() - 1.0}],
+            method="SLSQP",
+            options={"maxiter": 200, "ftol": min(1e-12, tol * 1e-3)},
+        )
+        lam = np.clip(res.x, 0.0, None)
+        lam /= lam.sum()
+    raise RuntimeError("min_square_diag failed to converge")
 
 
 class TestMinSquareDiag:

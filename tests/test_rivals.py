@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -27,7 +28,6 @@ from welfareshare.rivals import (
     nucleolus_ws,
     run_mechanism,
     shapley,
-    shapley_by_permutations,
 )
 from welfareshare.welfare import SetFunctionOracle, iter_nonempty_masks, wmax, dual
 
@@ -53,6 +53,21 @@ def nash_fixture():
         ((F(24), F(0)), (F(0), F(4))),
         ("x", "y"),
     )
+
+
+def shapley_by_permutations(o: SetFunctionOracle):
+    """Order-enumeration Shapley; cross-check path for small n."""
+    n = o.n_agents
+    totals = [Fraction(0)] * n
+    count = 0
+    for order in permutations(range(n)):
+        mask = 0
+        for i in order:
+            before = o.wmax_mask(mask)
+            mask |= 1 << i
+            totals[i] += o.wmax_mask(mask) - before
+        count += 1
+    return tuple(t / count for t in totals)
 
 
 class TestShapley:
