@@ -310,9 +310,8 @@ def lexicographic_maxmin(n_vars, constraints, exprs):
                 _extend_span(span, coeffs)
         # the round's point meets every fixed row, so it gives the value of
         # each expression that the span now holds
-        unfixed = [k for k in unfixed if k not in levels]
         for k in unfixed:
-            if not any(_reduce(span, exprs[k][0])):
+            if k not in levels and not any(_reduce(span, exprs[k][0])):
                 levels[k] = _expr_value(exprs[k], point)
         unfixed = [k for k in unfixed if k not in levels]
 
