@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .model import DisagreementPoint
-from .welfare import SetFunctionOracle, agents_of, is_submodular, wpi
+from .welfare import SetFunctionOracle, _indicator, agents_of, is_submodular, wpi
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -240,18 +240,20 @@ def lexicographic_maxmin(n_vars, constraints, exprs):
 
     Each round maximizes the common floor t of the unfixed expressions and
     fixes at its optimum t* every expression that cannot rise above t* on
-    the level set {all unfixed >= t*}.  Three exact rules spare most of the
-    probe LPs that would decide this one expression at a time:
+    the level set {all unfixed >= t*}.  Exact rules spare most of the probe
+    LPs that would decide this one expression at a time:
     - binding: an expression whose floor row is tight at every optimum of
       the round's LP (`LPResult.binding`) is fixed without a probe.
     - probe points: an expression above t* at the round's point, or at the
       point of a probe that lifted another expression, can rise.
-    - span: after a round, an expression whose coefficient row lies in the
-      span of the equality constraints and the fixed rows is constant on
-      the feasible set; it is fixed at its value, with no round of its own.
-    A tight expression whose floor row has reduced cost 0 and that no probe
-    point has lifted still takes a probe.  Once no expression is left, one
-    LP over the fixed rows gives the point.
+    - span: an echelon span holds the equality constraints and the fixed
+      rows; a round adds each row it fixes, binding ones first.  An
+      expression whose row lies in the span is constant on the level set:
+      a tight one is fixed at t* with no probe, and after the round one
+      above t* is fixed at its value, with no round of its own.
+    Any other tight expression takes a probe.  The last round's point meets
+    every fixed row and is returned; with no expressions, one LP over the
+    constraints gives the point.
     """
     constraints = [
         ([Fraction(v) for v in row], rel, Fraction(rhs)) for row, rel, rhs in constraints
@@ -272,42 +274,40 @@ def lexicographic_maxmin(n_vars, constraints, exprs):
             coeffs, const = exprs[k]
             rows.append((coeffs + [Fraction(-1)], GE, -const))
         objective = [Fraction(0)] * n_vars + [Fraction(1)]
-        res = simplex_solve(
-            LinearProgram(n_vars + 1, objective, rows, maximize=True)
-        )
+        res = simplex_solve(LinearProgram(n_vars + 1, objective, rows, maximize=True))
         if res.status == "infeasible":
             raise InfeasibleError("lexicographic program infeasible")
         if res.status == "unbounded":
             raise InfeasibleError("lexicographic program unbounded")
         t_star = res.value
         point = res.point[:n_vars]
-        floor_rows = [
-            (coeffs, GE, t_star - const)
-            for coeffs, const in (exprs[k] for k in unfixed)
-        ]
+        floor_rows = [(exprs[k][0], GE, t_star - exprs[k][1]) for k in unfixed]
         newly = {unfixed[r - len(base)] for r in res.binding if r >= len(base)}
+        for k in newly:
+            _extend_span(span, exprs[k][0])
         risen = {k for k in unfixed if _expr_value(exprs[k], point) != t_star}
         for k in unfixed:
             if k in newly or k in risen:
                 continue
             coeffs, const = exprs[k]
+            if not any(_reduce(span, coeffs)):
+                newly.add(k)
+                continue
             probe = simplex_solve(LinearProgram(n_vars, coeffs, base + floor_rows))
             if probe.status != "optimal":
                 continue
             if probe.value + const == t_star:
                 newly.add(k)
+                _extend_span(span, coeffs)
             else:
                 risen.update(
                     j for j in unfixed if _expr_value(exprs[j], probe.point) > t_star
                 )
         if not newly:
             raise AssertionError("lexicographic max-min made no progress")
-        for k in unfixed:
-            if k in newly:
-                coeffs, const = exprs[k]
-                fixed_rows.append((coeffs, EQ, t_star - const))
-                levels[k] = t_star
-                _extend_span(span, coeffs)
+        for k in sorted(newly):
+            fixed_rows.append((exprs[k][0], EQ, t_star - exprs[k][1]))
+            levels[k] = t_star
         # the round's point meets every fixed row, so it gives the value of
         # each expression that the span now holds
         for k in unfixed:
@@ -315,12 +315,12 @@ def lexicographic_maxmin(n_vars, constraints, exprs):
                 levels[k] = _expr_value(exprs[k], point)
         unfixed = [k for k in unfixed if k not in levels]
 
-    final = simplex_solve(
-        LinearProgram(n_vars, [Fraction(0)] * n_vars, constraints + fixed_rows)
-    )
-    if final.status != "optimal":
-        raise InfeasibleError("lexicographic program infeasible")
-    return [levels[k] for k in range(len(exprs))], final.point
+    if not exprs:
+        final = simplex_solve(LinearProgram(n_vars, [Fraction(0)] * n_vars, constraints))
+        if final.status != "optimal":
+            raise InfeasibleError("lexicographic program infeasible")
+        point = final.point
+    return [levels[k] for k in range(len(exprs))], point
 
 
 # ---------------------------------------------------------------------------
@@ -394,22 +394,25 @@ def _gap_function(o: SetFunctionOracle, d: DisagreementPoint):
 def ws_core_nonempty(o: SetFunctionOracle, d: DisagreementPoint) -> CoreVerdict:
     """Feasibility LP for the WS-core: maximize sum x subject to
     x(S) <= f(S), x >= 0, where f = W_max - W_pi.  The WS-core is nonempty
-    iff the optimum reaches f(N); the witness is u = x + d."""
+    iff the optimum reaches f(N); the witness is u = x + d.  The verdict is
+    kept on the oracle, so a game solves the LP once."""
+    verdict = o._core_verdicts.get(d.utilities)
+    if verdict is not None:
+        return verdict
     n = o.n_agents
     f = _gap_function(o, d)
-    rows = []
-    for mask in range(1, 1 << n):
-        row = [Fraction(1 if mask & (1 << i) else 0) for i in range(n)]
-        rows.append((row, LE, f(mask)))
+    rows = [(_indicator(mask, n), LE, f(mask)) for mask in range(1, 1 << n)]
     lp = LinearProgram(n, [Fraction(1)] * n, rows, maximize=True, nonneg=True)
     res = simplex_solve(lp)
     target = f(o.full_mask)
     if res.status != "optimal":
-        return CoreVerdict(False, gap=None)
-    if res.value == target:
-        witness = tuple(x + d[i] for i, x in enumerate(res.point))
-        return CoreVerdict(True, witness=witness)
-    return CoreVerdict(False, gap=target - res.value)
+        verdict = CoreVerdict(False, gap=None)
+    elif res.value == target:
+        verdict = CoreVerdict(True, witness=tuple(x + d[i] for i, x in enumerate(res.point)))
+    else:
+        verdict = CoreVerdict(False, gap=target - res.value)
+    o._core_verdicts[d.utilities] = verdict
+    return verdict
 
 
 def sufficient_conditions(o: SetFunctionOracle, d: DisagreementPoint) -> str:

@@ -18,7 +18,7 @@ from .core import (
     ws_core_nonempty,
 )
 from .model import BoundExceededError, DisagreementPoint, MatchingInstance, Solution
-from .welfare import SetFunctionOracle, agents_of, is_submodular
+from .welfare import SetFunctionOracle, _indicator, agents_of, is_submodular
 
 
 @dataclass(frozen=True)
@@ -146,16 +146,11 @@ def _submodular(o: SetFunctionOracle) -> bool:
 def ws_core_constraints(o: SetFunctionOracle, d: DisagreementPoint):
     """Constraint rows over the n utility variables defining the WS-core."""
     n = o.n_agents
-    rows = []
-    for mask in range(1, 1 << n):
-        row = [Fraction(1 if mask & (1 << i) else 0) for i in range(n)]
-        rel = EQ if mask == o.full_mask else LE
-        rows.append((row, rel, o.wmax_mask(mask)))
-    for i in range(n):
-        row = [Fraction(0)] * n
-        row[i] = Fraction(1)
-        rows.append((row, GE, d[i]))
-    return rows
+    rows = [
+        (_indicator(mask, n), EQ if mask == o.full_mask else LE, o.wmax_mask(mask))
+        for mask in range(1, 1 << n)
+    ]
+    return rows + [(_indicator(1 << i, n), GE, d[i]) for i in range(n)]
 
 
 def lexmax_lp(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
@@ -168,11 +163,7 @@ def lexmax_lp(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
     """
     n = o.n_agents
     rows = ws_core_constraints(o, d)
-    exprs = []
-    for i in range(n):
-        coeffs = [Fraction(0)] * n
-        coeffs[i] = Fraction(1)
-        exprs.append((coeffs, -d[i]))
+    exprs = [(_indicator(1 << i, n), -d[i]) for i in range(n)]
     try:
         levels, _ = lexicographic_maxmin(n, rows, exprs)
     except InfeasibleError as exc:

@@ -24,7 +24,7 @@ from .model import (
     Solution,
     enumeration_bound,
 )
-from .welfare import SetFunctionOracle, agents_of, dual, wpi
+from .welfare import SetFunctionOracle, _indicator, agents_of, dual, wpi
 
 
 def _solution_from_utilities(o: SetFunctionOracle, utilities, mechanism: str) -> Solution:
@@ -77,11 +77,7 @@ def ef_maxmin(o: SetFunctionOracle) -> Solution:
             row[mine] += Fraction(1)
             row[j] -= Fraction(1)
             rows.append((row, GE, m.values[i][j] - m.values[i][mine]))
-    exprs = []
-    for i in range(n):
-        coeffs = [Fraction(0)] * n
-        coeffs[sigma[i]] = Fraction(1)
-        exprs.append((coeffs, m.values[i][sigma[i]]))
+    exprs = [(_indicator(1 << sigma[i], n), m.values[i][sigma[i]]) for i in range(n)]
     levels, q = lexicographic_maxmin(n, rows, exprs)
     transfers = tuple(q[sigma[i]] for i in range(n))
     return Solution(
@@ -127,7 +123,7 @@ def nucleolus_ws(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
     for mask in range(1, full):
         members = agents_of(mask)
         g = max(dual(o, members), wpi(d, members))
-        exprs.append(([1 if mask >> i & 1 else 0 for i in range(n)], -g))
+        exprs.append((_indicator(mask, n), -g))
     _, u = lexicographic_maxmin(n, [([1] * n, EQ, o.wmax_mask(full))], exprs)
     return _solution_from_utilities(o, u, "nucleolus-ws")
 

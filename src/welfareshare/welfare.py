@@ -38,6 +38,12 @@ def agents_of(mask: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
+def _indicator(mask: int, n: int) -> list:
+    """The 0/1 row of mask's agents over n agents.  A bit helper like
+    agents_of, private so that bench/tracer.py gives its calls no span."""
+    return [Fraction(mask >> i & 1) for i in range(n)]
+
+
 def iter_nonempty_masks(n: int):
     return range(1, 1 << n)
 
@@ -67,6 +73,7 @@ class SetFunctionOracle:
         # memo-miss test in bench/tracer.py
         self._memo = {}
         self._argmax = []  # mask -> argmax
+        self._core_verdicts = {}  # d.utilities -> core.ws_core_nonempty's verdict
 
     @property
     def full_mask(self) -> int:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from welfareshare import cli, egalitarian, rivals
+from welfareshare import cli, core, egalitarian, rivals
 from welfareshare.cli import main
 from welfareshare.model import MAX_EXPONENT, parse_rational
 from welfareshare.welfare import MAX_TABLE_AGENTS, SetFunctionOracle
@@ -335,9 +335,30 @@ class TestEmptyCore:
         errors = {e["mechanism"]: e.get("error") for e in json.loads(out)}
         assert errors["lexmax"] == errors["nucleolus-ws"] == "empty WS-core"
         assert errors["shapley"] is None
+        code, out, _ = run(capsys, "compare", "fixture:EMPTY_CORE", "--output", "table")
+        assert code == 0
+        assert f"{'lexmax':<14} empty WS-core\n" in out
+        assert f"{'nucleolus-ws':<14} empty WS-core\n" in out
         code, _, err = run(capsys, "solve", "fixture:EMPTY_CORE", "--mechanism", "nucleolus-ws")
         assert code == 4
         assert err == "error: WS-core is empty\n"
+
+    @pytest.mark.parametrize("fixture", ["fixture:EX1(delta=1/10)", "fixture:EMPTY_CORE"])
+    def test_compare_solves_the_core_lp_once(self, capsys, monkeypatch, fixture):
+        # the lexmax and nucleolus-ws guards share one verdict per game; the
+        # WS-core feasibility LP is the only one over nonnegative variables
+        core_lps = []
+        solve = core.simplex_solve
+
+        def counting_solve(lp):
+            if lp.nonneg:
+                core_lps.append(lp)
+            return solve(lp)
+
+        monkeypatch.setattr(core, "simplex_solve", counting_solve)
+        code, _, _ = run(capsys, "compare", fixture, "--output", "json")
+        assert code == 0
+        assert len(core_lps) == 1
 
 
 class TestCheck:
@@ -371,7 +392,7 @@ class TestCheck:
             "rp",
         )
         assert code == 0
-        assert "ws-core: nonempty" in out
+        assert out == "ws-core: nonempty  witness 3/5 1/2 3/5\n"
 
     def test_solution_round_trip(self, capsys, tmp_path):
         code, out, _ = run(

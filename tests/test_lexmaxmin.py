@@ -198,13 +198,46 @@ class TestSameAsReference:
         assert core.lexicographic_maxmin(2, rows, []) == reference_lexicographic_maxmin(
             2, rows, []
         )
-        with pytest.raises(InfeasibleError):
-            core.lexicographic_maxmin(1, [([F(1)], GE, F(1)), ([F(1)], LE, F(0))], [])
+
+    def test_no_expressions_infeasible(self):
+        # with no expressions the one LP over the constraints still decides
+        rows = [([F(1)], GE, F(1)), ([F(1)], LE, F(0))]
+        for loop in (core.lexicographic_maxmin, reference_lexicographic_maxmin):
+            with pytest.raises(InfeasibleError):
+                loop(1, rows, [])
+
+    def test_last_expression_fixed_by_span_after_round(self, monkeypatch):
+        # x + y = 3, x <= 1; expressions x and x + y.  The one round fixes x
+        # at 1 and leaves x + y at 3 above t* = 1, where the equality row
+        # spans it, so the round's point (1, 2) is returned with no more LPs.
+        rows = [([F(1), F(1)], EQ, F(3)), ([F(1), F(0)], LE, F(1))]
+        exprs = [([F(1), F(0)], F(0)), ([F(1), F(1)], F(0))]
+        expected = reference_lexicographic_maxmin(2, rows, exprs)
+        assert expected == ([F(1), F(3)], (F(1), F(2)))
+        with monkeypatch.context() as patch:
+            rec = Recorder(patch, core.lexicographic_maxmin)
+            assert core.lexicographic_maxmin(2, rows, exprs) == expected
+        assert rec.lps == 1
+
+    def test_tight_expression_fixed_by_span_in_round(self, monkeypatch):
+        # x, y <= 1; expressions x, y and x + y - 1 all reach t* = 1 at (1, 1).
+        # The floor row of x + y - 1 binds; a probe finds x stuck; then y lies
+        # in the span of the two rows and is fixed in the same round without
+        # a probe: one round LP and one probe.
+        rows = [([F(1), F(0)], LE, F(1)), ([F(0), F(1)], LE, F(1))]
+        exprs = [([F(1), F(0)], F(0)), ([F(0), F(1)], F(0)), ([F(1), F(1)], F(-1))]
+        expected = reference_lexicographic_maxmin(2, rows, exprs)
+        assert expected == ([F(1)] * 3, (F(1), F(1)))
+        with monkeypatch.context() as patch:
+            rec = Recorder(patch, core.lexicographic_maxmin)
+            assert core.lexicographic_maxmin(2, rows, exprs) == expected
+        assert rec.lps == 2
 
 
 class TestLPCount:
     def test_nucleolus_n6(self, monkeypatch):
-        # the reference took 87-127 LPs on each of these five matchings
+        # the reference took 87-127 LPs on each of these five matchings;
+        # fewer than 30 is the target of Maschler, Peleg & Shapley (1979)
         rng = random.Random(7004)
         counts = []
         for _ in range(5):
@@ -215,14 +248,17 @@ class TestLPCount:
                 rec = Recorder(patch, core.lexicographic_maxmin)
                 nucleolus_ws(o, d)
             counts.append(rec.lps)
-        assert max(counts) < 45
-        assert sorted(counts)[2] < 30
+        assert max(counts) < 30
 
     def test_never_more_than_reference(self, monkeypatch):
         for m in matching_cases(7005, 12, 6):
             o = SetFunctionOracle(m)
             d = rp_exact(m)
-            for mechanism, args in ((lexmax_lp, (o, d)), (ef_maxmin, (o,))):
+            for mechanism, args in (
+                (nucleolus_ws, (o, d)),
+                (lexmax_lp, (o, d)),
+                (ef_maxmin, (o,)),
+            ):
                 new_lps, ref_lps = assert_same(monkeypatch, mechanism, *args)
                 assert new_lps <= ref_lps
 
