@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from . import decompose as dec
 from .core import EmptyCoreError, check_anticore, ws_core_nonempty
-from .disagreement import eating
 from .egalitarian import WaterFillingTrace, solve_lexmax, water_filling
 from .model import (
     BoundExceededError,
@@ -27,6 +26,8 @@ from .model import (
     parse_rational,
 )
 from .rivals import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SEED,
     MECHANISMS,
     IncompatibleOptionsError,
     compute_disagreement,
@@ -101,12 +102,13 @@ def parse_instance_doc(doc):
 
 
 def resolve_disagreement(inst, args, embedded):
-    mode = getattr(args, "disagreement", None)
-    explicit = None
-    seed = getattr(args, "seed", 0)
-    samples = getattr(args, "samples", 100_000)
-    if mode is None and embedded:
+    mode, explicit, seed, samples = args.disagreement, None, args.seed, args.samples
+    if mode is None and embedded is not None:
+        if not isinstance(embedded, dict):
+            raise ParseError("embedded disagreement must be an object")
         mode = embedded.get("mode")
+        if not isinstance(mode, (str, type(None))):
+            raise ParseError(f"embedded disagreement mode must be a string, not {mode!r}")
         if "utilities" in embedded:
             try:
                 explicit = [parse_rational(u) for u in embedded["utilities"]]
@@ -114,6 +116,11 @@ def resolve_disagreement(inst, args, embedded):
                 raise ParseError(f"bad embedded disagreement: {exc}") from exc
         seed = embedded.get("seed", seed)
         samples = embedded.get("samples", samples)
+    # type(), not isinstance(): JSON true parses to a bool, an int subclass
+    if type(seed) is not int:
+        raise ParseError(f"disagreement seed must be an integer, not {seed!r}")
+    if type(samples) is not int or samples < 1:
+        raise ParseError(f"disagreement samples must be a positive integer, not {samples!r}")
     if mode is None:
         mode = "rp" if isinstance(inst, MatchingInstance) and inst.is_square else "uniform"
     if mode.startswith("explicit=") or mode == "explicit":
@@ -177,14 +184,13 @@ def trace_doc(trace: WaterFillingTrace):
 def emit_solution(o, sol, d, args, trace=None):
     """Print the solution and, with --explain, the water-filling trace."""
     inst = o.backing
-    explain = trace is not None and getattr(args, "explain", False)
-    fmt = getattr(args, "output", "json")
-    if fmt == "json":
+    explain = trace is not None and args.explain
+    if args.output == "json":
         doc = solution_doc(sol, d)
         if explain:
             doc["trace"] = trace_doc(trace)
         print(json.dumps(doc, indent=2))
-    elif fmt == "csv":
+    elif args.output == "csv":
         print("agent,utility,transfer")
         for i in range(len(sol.utilities)):
             print(
@@ -208,12 +214,19 @@ def emit_solution(o, sol, d, args, trace=None):
                 print(f"  raise by {format_rational(x)}, lock agents {list(locked)}")
 
 
-def cmd_solve(args) -> int:
+def _game(args):
+    """The instance's oracle, rent shifted out, and its embedded disagreement."""
     inst, embedded = load_instance(args.instance)
     if isinstance(inst, MatchingInstance) and inst.rent is not None:
+        if not inst.is_square:
+            raise ParseError("rent needs a square matching instance")
         inst = apply_rent_shift(inst)
-    o = SetFunctionOracle(inst)
-    d = resolve_disagreement(inst, args, embedded)
+    return SetFunctionOracle(inst), embedded
+
+
+def cmd_solve(args) -> int:
+    o, embedded = _game(args)
+    d = resolve_disagreement(o.backing, args, embedded)
     if args.mechanism == "lexmax":
         sol, trace = solve_lexmax(o, d)
         if trace is None and args.explain:
@@ -226,10 +239,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_check(args) -> int:
-    inst, embedded = load_instance(args.instance)
-    if isinstance(inst, MatchingInstance) and inst.rent is not None:
-        inst = apply_rent_shift(inst)
-    o = SetFunctionOracle(inst)
+    o, embedded = _game(args)
+    inst = o.backing
     ok = True
     requested = False
     if args.submodular:
@@ -289,10 +300,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    inst, embedded = load_instance(args.instance)
-    if isinstance(inst, MatchingInstance) and inst.rent is not None:
-        inst = apply_rent_shift(inst)
-    o = SetFunctionOracle(inst)
+    o, embedded = _game(args)
+    inst = o.backing
     d = resolve_disagreement(inst, args, embedded)
     partition = dec.find_components(inst)
     mechanisms = [t for t in MECHANISMS if t != "ef-maxmin"]
@@ -304,7 +313,7 @@ def cmd_compare(args) -> int:
             reports.append(mechanism_report(o, tag, d, partition=partition))
         except EmptyCoreError:
             reports.append(None)
-    if getattr(args, "output", "table") == "json":
+    if args.output == "json":
         doc = []
         for tag, rep in zip(mechanisms, reports):
             if rep is None:
@@ -347,8 +356,8 @@ def build_parser():
             default=None,
             help="uniform | rp | rp-mc | eating | explicit=FILE",
         )
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--samples", type=int, default=100_000)
+        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
 
     solve = sub.add_parser("solve", help="run one mechanism")
     add_common(solve)

@@ -9,19 +9,13 @@ prefers all of her block's items to every item outside it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
-from .model import (
-    BoundExceededError,
-    DisagreementPoint,
-    Instance,
-    MatchingInstance,
-    Solution,
-    enumeration_bound,
-)
+from .model import BoundExceededError, DisagreementPoint, Instance, MatchingInstance, Solution
 from .welfare import SetFunctionOracle
 
 
@@ -189,12 +183,17 @@ def _exact_matching_blocks(m: MatchingInstance, agents, items):
     return [(tuple(sorted(a)), tuple(sorted(it))) for a, it in groups.values()]
 
 
+# the exact path lists a block's k! assignments, at most 8! = 40,320; a larger
+# matching keeps the sufficient partition.  README gives the time at 8 agents
+MAX_EXACT_COMPONENT_AGENTS = 8
+
+
 def find_components_matching(m: MatchingInstance) -> ComponentPartition:
     """Minimal independent components of a square matching instance."""
     if not m.is_square:
         raise ValueError("component detection requires a square instance")
     fast = _sufficient_partition(m)
-    if m.n_agents > enumeration_bound("components_exact"):
+    if m.n_agents > MAX_EXACT_COMPONENT_AGENTS:
         return fast
     blocks = []
     for agents, items in fast.blocks:
@@ -213,10 +212,11 @@ class ComponentVerdict:
 
 def _as_general(inst) -> Instance:
     """View a matching instance as a general one, an alternative per
-    assignment of the n agents to distinct items."""
+    assignment of the n agents to distinct items: m!/(m-n)! of them, at
+    most the exact path's 8!."""
     if isinstance(inst, Instance):
         return inst
-    if inst.n_agents > enumeration_bound("components_exact"):
+    if math.perm(inst.n_items, inst.n_agents) > math.factorial(MAX_EXACT_COMPONENT_AGENTS):
         raise BoundExceededError("assignment enumeration bound exceeded")
     assigns = list(permutations(range(inst.n_items), inst.n_agents))
     return Instance(
@@ -260,10 +260,15 @@ def verify_component(inst, S: Sequence[int]) -> ComponentVerdict:
     return ComponentVerdict(True)
 
 
+# 2^n candidate blocks, each a Pareto scan of every alternative; a larger
+# instance gets the trivial partition
+MAX_GENERAL_COMPONENT_AGENTS = 6
+
+
 def find_components_general(inst: Instance) -> ComponentPartition:
     """Minimal certified components of a general instance (small n only)."""
     n = inst.n_agents
-    if n > enumeration_bound("components_general"):
+    if n > MAX_GENERAL_COMPONENT_AGENTS:
         return trivial_partition(inst)
     certified = [
         mask

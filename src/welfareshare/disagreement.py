@@ -18,13 +18,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Dict, List, Sequence, Tuple
 
-from .model import (
-    BoundExceededError,
-    DisagreementPoint,
-    Instance,
-    MatchingInstance,
-    enumeration_bound,
-)
+from .model import BoundExceededError, DisagreementPoint, Instance, MatchingInstance
 
 
 def uniform(inst) -> DisagreementPoint:
@@ -183,6 +177,11 @@ def _expected_utilities(m: MatchingInstance, x) -> Tuple[Fraction, ...]:
     )
 
 
+# with a tie in some row, exact Random Priority walks all n! serial orders;
+# README gives its time with and without ties
+MAX_RP_EXACT_AGENTS = 10
+
+
 def rp_exact(m: MatchingInstance) -> DisagreementPoint:
     """Exact Random Priority: average over all n! serial orders.
 
@@ -190,7 +189,7 @@ def rp_exact(m: MatchingInstance) -> DisagreementPoint:
     turn pick their favorite remaining item, extra items go unassigned.
     """
     n = m.n_agents
-    if n > enumeration_bound("rp_exact"):
+    if n > MAX_RP_EXACT_AGENTS:
         raise BoundExceededError("rp_exact bound exceeded; use rp_montecarlo")
     if not _has_row_ties(m.values):
         utils = _rp_tiefree_utilities(m.values, m.n_items)
@@ -208,7 +207,7 @@ def rp_allocation(m: MatchingInstance):
     if not m.is_square:
         raise ValueError("rp_allocation requires a square instance")
     n = m.n_agents
-    if n > enumeration_bound("rp_exact"):
+    if n > MAX_RP_EXACT_AGENTS:
         raise BoundExceededError("rp_allocation bound exceeded")
     total = math.factorial(n)
     x = tuple(tuple(Fraction(c, total) for c in row) for row in _rp_counts(m))

@@ -6,32 +6,10 @@ enter them.
 
 from __future__ import annotations
 
-import os
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
-
-Rational = Fraction
-
-# Enumeration bounds, overridable through environment variables
-# (WELFARESHARE_BOUND_SUBMODULAR etc.) so large instances can be forced
-# through when the caller knows what they are doing.
-_DEFAULT_BOUNDS = {
-    "submodular": 14,
-    "rp_exact": 10,
-    "shapley": 14,
-    "components_exact": 8,
-    "components_general": 6,
-}
-
-
-def enumeration_bound(name: str) -> int:
-    env = os.environ.get(f"WELFARESHARE_BOUND_{name.upper()}")
-    if env is not None:
-        return int(env)
-    return _DEFAULT_BOUNDS[name]
-
 
 class BoundExceededError(ValueError):
     """An enumeration-bounded operation was asked to exceed its bound."""

@@ -17,14 +17,12 @@ from .core import (
     ws_core_nonempty,
 )
 from .egalitarian import solve_lexmax
-from .model import (
-    BoundExceededError,
-    DisagreementPoint,
-    MatchingInstance,
-    Solution,
-    enumeration_bound,
-)
+from .model import BoundExceededError, DisagreementPoint, MatchingInstance, Solution
 from .welfare import SetFunctionOracle, _indicator, agents_of, dual, wpi
+
+
+class IncompatibleOptionsError(ValueError):
+    pass
 
 
 def _solution_from_utilities(o: SetFunctionOracle, utilities, mechanism: str) -> Solution:
@@ -32,10 +30,14 @@ def _solution_from_utilities(o: SetFunctionOracle, utilities, mechanism: str) ->
     return Solution.build(alt, o.values_at(alt), utilities, mechanism)
 
 
+# the closed form reads the 2^n-entry table n times; README gives its time at 14
+MAX_SHAPLEY_AGENTS = 14
+
+
 def shapley(o: SetFunctionOracle) -> Solution:
     """Subset-weighted closed form: n * 2^n oracle evaluations."""
     n = o.n_agents
-    if n > enumeration_bound("shapley"):
+    if n > MAX_SHAPLEY_AGENTS:
         raise BoundExceededError("shapley enumeration bound exceeded")
     fact = [math.factorial(k) for k in range(n + 1)]
     denom = fact[n]
@@ -63,8 +65,8 @@ def ef_maxmin(o: SetFunctionOracle) -> Solution:
     optimal q a lexicographic max-min refinement pins the output.
     """
     m = o.backing
-    if not m.is_square:
-        raise ValueError("ef_maxmin requires a square matching instance")
+    if not isinstance(m, MatchingInstance) or not m.is_square:
+        raise IncompatibleOptionsError("ef-maxmin needs a square matching instance")
     n = m.n_agents
     sigma = o.wmax_argmax(range(n))
     rows = [([Fraction(1)] * n, EQ, Fraction(0))]
@@ -135,15 +137,16 @@ def nucleolus_ws(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
 MECHANISMS = ("lexmax", "shapley", "ef-maxmin", "ks", "nash", "nucleolus-ws")
 
 
-class IncompatibleOptionsError(ValueError):
-    pass
+# rp-mc's defaults, for the library and the CLI alike
+DEFAULT_SEED = 0
+DEFAULT_SAMPLES = 100_000
 
 
 def compute_disagreement(
     inst,
     mode: str,
-    seed: int = 0,
-    samples: int = 100_000,
+    seed: int = DEFAULT_SEED,
+    samples: int = DEFAULT_SAMPLES,
     explicit=None,
 ) -> DisagreementPoint:
     from . import disagreement as dis
@@ -161,7 +164,7 @@ def compute_disagreement(
             return dis.rp_exact(inst)
         except BoundExceededError as exc:
             raise IncompatibleOptionsError(
-                f"--disagreement rp enumerates at most {enumeration_bound('rp_exact')}"
+                f"--disagreement rp enumerates at most {dis.MAX_RP_EXACT_AGENTS}"
                 f" agents, this instance has {inst.n_agents}; use --disagreement rp-mc"
             ) from exc
     if mode == "rp-mc":
@@ -172,14 +175,11 @@ def compute_disagreement(
 
 
 def run_mechanism(tag: str, o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
-    inst = o.backing
     if tag == "lexmax":
         return solve_lexmax(o, d)[0]
     if tag == "shapley":
         return shapley(o)
     if tag == "ef-maxmin":
-        if not isinstance(inst, MatchingInstance) or not inst.is_square:
-            raise IncompatibleOptionsError("ef-maxmin needs a square matching instance")
         return ef_maxmin(o)
     if tag == "ks":
         return ks_bargaining(o, d)

@@ -11,13 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Tuple
 
-from .model import (
-    BoundExceededError,
-    DisagreementPoint,
-    Instance,
-    MatchingInstance,
-    enumeration_bound,
-)
+from .model import BoundExceededError, DisagreementPoint, Instance, MatchingInstance
 
 
 def mask_of(agents: Iterable[int]) -> int:
@@ -165,6 +159,10 @@ def wpi(d: DisagreementPoint, S: Iterable[int]) -> Fraction:
     return sum((d[i] for i in S), Fraction(0))
 
 
+# the check scans n * (n - 1) / 2 * 2^(n - 2) pairs; README gives its time at 14
+MAX_SUBMODULAR_AGENTS = 14
+
+
 @dataclass(frozen=True)
 class SubmodularityVerdict:
     is_submodular: bool
@@ -183,7 +181,7 @@ def is_submodular(o: SetFunctionOracle) -> SubmodularityVerdict:
     f(S+i) + f(S+j) < f(S) + f(S+i+j).
     """
     n = o.n_agents
-    if n > enumeration_bound("submodular"):
+    if n > MAX_SUBMODULAR_AGENTS:
         raise BoundExceededError("submodularity check exceeds enumeration bound")
     for base in range(1 << n):
         for i, j in combinations([i for i in range(n) if not base >> i & 1], 2):

@@ -7,8 +7,10 @@ import pytest
 
 from welfareshare import cli, core, egalitarian, rivals
 from welfareshare.cli import main
+from welfareshare.decompose import MAX_EXACT_COMPONENT_AGENTS, MAX_GENERAL_COMPONENT_AGENTS
 from welfareshare.model import MAX_EXPONENT, parse_rational
-from welfareshare.welfare import MAX_TABLE_AGENTS, SetFunctionOracle
+from welfareshare.rivals import MAX_SHAPLEY_AGENTS
+from welfareshare.welfare import MAX_SUBMODULAR_AGENTS, MAX_TABLE_AGENTS, SetFunctionOracle
 
 
 def run(capsys, *argv):
@@ -229,16 +231,25 @@ class TestExitCodes:
         assert code == 3
 
     @pytest.mark.parametrize(
-        "n, mechanism, message",
+        "n, task, message",
         [
             (MAX_TABLE_AGENTS + 1, "nash", f"takes at most {MAX_TABLE_AGENTS} agents"),
-            (15, "shapley", "shapley enumeration bound exceeded"),
+            (MAX_SHAPLEY_AGENTS + 1, "shapley", "shapley enumeration bound exceeded"),
+            (
+                MAX_SUBMODULAR_AGENTS + 1,
+                "submodular",
+                "submodularity check exceeds enumeration bound",
+            ),
         ],
     )
-    def test_past_enumeration_bound(self, capsys, tmp_path, n, mechanism, message):
+    def test_past_enumeration_bound(self, capsys, tmp_path, n, task, message):
+        # task: a mechanism for solve, or "submodular" for check --submodular
         doc = {"kind": "general", "alternatives": ["a", "b"], "values": [["1", "0"]] * n}
         path = write_instance(tmp_path / "big.json", doc)
-        code, out, err = run(capsys, "solve", path, "--mechanism", mechanism)
+        if task == "submodular":
+            code, out, err = run(capsys, "check", path, "--submodular")
+        else:
+            code, out, err = run(capsys, "solve", path, "--mechanism", task)
         assert (code, out) == (3, "")
         assert err.startswith("error: ") and message in err
 
@@ -292,6 +303,41 @@ class TestExitCodes:
         code, _, err = run(capsys, "solve", write_instance(tmp_path / "inst.json", doc), *argv)
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["solve", "check", "compare"])
+    def test_rent_on_a_rectangular_matching(self, capsys, tmp_path, command):
+        doc = dict(EX_MATCHING, items=["attic", "cellar", "shed"],
+                   values=[["3", "1", "0"], ["1", "3", "0"]], rent="4")
+        code, out, err = run(capsys, command, write_instance(tmp_path / "inst.json", doc))
+        assert (code, out) == (2, "")
+        assert err == "error: rent needs a square matching instance\n"
+
+    @pytest.mark.parametrize(
+        "disagreement, argv, message",
+        [
+            (["0", "0"], [], "embedded disagreement must be an object"),
+            ({"mode": 5}, [], "embedded disagreement mode must be a string, not 5"),
+            ({"mode": "rp-mc", "seed": "7"}, [], "seed must be an integer, not '7'"),
+            ({"mode": "rp-mc", "seed": True}, [], "seed must be an integer, not True"),
+            ({"mode": "rp-mc", "samples": "10"}, [],
+             "samples must be a positive integer, not '10'"),
+            ({"mode": "rp-mc", "samples": 0}, [], "samples must be a positive integer, not 0"),
+            (None, ["--disagreement", "rp-mc", "--samples", "0"], "positive integer, not 0"),
+        ],
+    )
+    def test_bad_disagreement_options(self, capsys, tmp_path, disagreement, argv, message):
+        doc = dict(EX_MATCHING, disagreement=disagreement)
+        path = write_instance(tmp_path / "inst.json", doc)
+        code, out, err = run(capsys, "solve", path, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_embedded_rp_mc_options(self, capsys, tmp_path):
+        doc = dict(EX_MATCHING, disagreement={"mode": "rp-mc", "seed": 3, "samples": 40})
+        code, out, _ = run(capsys, "solve", write_instance(tmp_path / "inst.json", doc))
+        assert code == 0
+        assert json.loads(out)["disagreement"]["provenance"] == "rp_montecarlo(seed=3, samples=40)"
 
     def test_default_rp_beyond_bound(self, capsys, tmp_path):
         n = 11
@@ -381,6 +427,40 @@ class TestCheck:
         )
         assert code == 0
         assert "2 block(s)" in out
+
+    @pytest.mark.parametrize(
+        "n, certificate",
+        [
+            (MAX_EXACT_COMPONENT_AGENTS, "exact"),
+            (MAX_EXACT_COMPONENT_AGENTS + 1, "sufficient"),
+        ],
+    )
+    def test_decompose_matching_at_the_bound(self, capsys, tmp_path, n, certificate):
+        # each agent keeps her own item: singleton blocks, and each exact
+        # block lists 1! assignment, so the edge costs little on both sides
+        doc = {
+            "kind": "matching",
+            "items": [f"item{j}" for j in range(n)],
+            "values": [["9" if i == j else "0" for j in range(n)] for i in range(n)],
+        }
+        path = write_instance(tmp_path / "inst.json", doc)
+        code, out, _ = run(capsys, "check", path, "--decompose")
+        assert code == 0
+        assert out.splitlines()[0] == f"components ({certificate}): {n} block(s)"
+
+    @pytest.mark.parametrize(
+        "n, first_line",
+        [
+            (MAX_GENERAL_COMPONENT_AGENTS, "components (exact): 6 block(s)"),
+            (MAX_GENERAL_COMPONENT_AGENTS + 1, "components (trivial): 1 block(s)"),
+        ],
+    )
+    def test_decompose_general_at_the_bound(self, capsys, tmp_path, n, first_line):
+        doc = {"kind": "general", "alternatives": ["a", "b"], "values": [["1", "0"]] * n}
+        path = write_instance(tmp_path / "inst.json", doc)
+        code, out, _ = run(capsys, "check", path, "--decompose")
+        assert code == 0
+        assert out.splitlines()[0] == first_line
 
     def test_ws_core_nonempty(self, capsys):
         code, out, _ = run(

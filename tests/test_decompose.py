@@ -4,8 +4,11 @@ import itertools
 import random
 from fractions import Fraction
 
+import pytest
+
 from conftest import planted_block_matching, random_matching
 
+from welfareshare import decompose
 from welfareshare.core import check_anticore
 from welfareshare.decompose import (
     check_strong_decomposability,
@@ -16,7 +19,7 @@ from welfareshare.decompose import (
     verify_component,
 )
 from welfareshare.disagreement import rp_exact
-from welfareshare.model import Instance, MatchingInstance, Solution, fixture
+from welfareshare.model import BoundExceededError, Instance, MatchingInstance, Solution, fixture
 from welfareshare.rivals import ef_maxmin, run_mechanism
 from welfareshare.welfare import SetFunctionOracle, wmax, wmax_argmax
 
@@ -93,6 +96,23 @@ class TestVerifyComponent:
                     if A & B:
                         assert A & B in family, (m.values, A, B)
                     assert A | B in family, (m.values, A, B)
+
+
+    def test_assignments_at_the_bound(self):
+        # 2 x 201 has 40,200 assignments, within the exact path's 8! = 40,320
+        m = MatchingInstance(tuple(range(201)), (tuple(range(201)),) * 2)
+        assert decompose._as_general(m).n_alternatives == 201 * 200
+
+    @pytest.mark.parametrize("n_agents, n_items", [(2, 202), (8, 20)])
+    def test_assignments_past_the_bound(self, monkeypatch, n_agents, n_items):
+        # 40,602 and 5e9 assignments: refused before any is listed
+        def unbounded(*args):
+            raise AssertionError("assignments listed past the bound")
+
+        monkeypatch.setattr(decompose, "permutations", unbounded)
+        m = MatchingInstance(tuple(range(n_items)), (tuple(range(n_items)),) * n_agents)
+        with pytest.raises(BoundExceededError, match="assignment enumeration bound exceeded"):
+            verify_component(m, (0,))
 
 
 class TestWeakDecomposability:

@@ -1,6 +1,5 @@
 """Rationals, instance containers, fixtures, and normalization helpers."""
 
-import os
 from fractions import Fraction
 
 import pytest
@@ -15,7 +14,6 @@ from welfareshare.model import (
     MatchingInstance,
     Solution,
     apply_rent_shift,
-    enumeration_bound,
     fixture,
     format_rational,
     normalize_to_disagreement,
@@ -170,14 +168,3 @@ class TestFixtures:
         with pytest.raises(KeyError):
             fixture("NOPE")
 
-
-class TestEnumerationBound:
-    def test_default(self):
-        assert enumeration_bound("shapley") == 14
-
-    def test_env_override(self):
-        os.environ["WELFARESHARE_BOUND_SHAPLEY"] = "3"
-        try:
-            assert enumeration_bound("shapley") == 3
-        finally:
-            del os.environ["WELFARESHARE_BOUND_SHAPLEY"]

@@ -257,6 +257,13 @@ class TestDispatch:
         with pytest.raises(IncompatibleOptionsError):
             run_mechanism("ef-maxmin", SetFunctionOracle(fixture("EX2")), zero_disagreement(6))
 
+    @pytest.mark.parametrize("inst", [fixture("EX2"), fixture("EX5")])
+    def test_ef_maxmin_checks_its_instance(self, inst):
+        # a general instance, then a rectangular matching (3 agents, 4 items)
+        with pytest.raises(IncompatibleOptionsError, match="square matching") as info:
+            ef_maxmin(SetFunctionOracle(inst))
+        assert isinstance(info.value, ValueError)
+
     def test_report_flags_ex3_shapley(self):
         inst = fixture("EX3")
         d = compute_disagreement(inst, "uniform")

@@ -4,17 +4,42 @@ import ast
 import pathlib
 
 import welfareshare
+from welfareshare import decompose, disagreement, rivals, welfare
+
+ROOT = pathlib.Path(welfareshare.__file__).parent
+
+
+def _find(predicate):
+    found = []
+    for path in sorted(ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.relative_to(ROOT)}:{node.lineno}" for node in ast.walk(tree) if predicate(node)
+        ]
+    return found
 
 
 def test_no_assert_statements():
     # `python -O` strips asserts; invariants must raise real exceptions
-    root = pathlib.Path(welfareshare.__file__).parent
-    found = []
-    for path in sorted(root.rglob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [
-            f"{path.relative_to(root)}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Assert)
-        ]
-    assert found == []
+    assert _find(lambda node: isinstance(node, ast.Assert)) == []
+
+
+def test_no_environment_reads():
+    # every bound and default is a constant in the source, not a hidden knob
+    def reads_environment(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr in ("environ", "environb", "getenv", "getenvb")
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            return any(alias.name.startswith(("environ", "getenv")) for alias in node.names)
+        return False
+
+    assert _find(reads_environment) == []
+
+
+def test_bound_constants():
+    assert welfare.MAX_TABLE_AGENTS == 18
+    assert welfare.MAX_SUBMODULAR_AGENTS == 14
+    assert disagreement.MAX_RP_EXACT_AGENTS == 10
+    assert rivals.MAX_SHAPLEY_AGENTS == 14
+    assert decompose.MAX_EXACT_COMPONENT_AGENTS == 8
+    assert decompose.MAX_GENERAL_COMPONENT_AGENTS == 6
