@@ -102,7 +102,10 @@ def parse_instance_doc(doc):
 
 
 def resolve_disagreement(inst, args, embedded):
-    mode, explicit, seed, samples = args.disagreement, None, args.seed, args.samples
+    # the command line wins over an embedded value, which wins over the default
+    mode, explicit = args.disagreement, None
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    samples = DEFAULT_SAMPLES if args.samples is None else args.samples
     if mode is None and embedded is not None:
         if not isinstance(embedded, dict):
             raise ParseError("embedded disagreement must be an object")
@@ -114,8 +117,10 @@ def resolve_disagreement(inst, args, embedded):
                 explicit = [parse_rational(u) for u in embedded["utilities"]]
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"bad embedded disagreement: {exc}") from exc
-        seed = embedded.get("seed", seed)
-        samples = embedded.get("samples", samples)
+        if args.seed is None:
+            seed = embedded.get("seed", seed)
+        if args.samples is None:
+            samples = embedded.get("samples", samples)
     # type(), not isinstance(): JSON true parses to a bool, an int subclass
     if type(seed) is not int:
         raise ParseError(f"disagreement seed must be an integer, not {seed!r}")
@@ -356,8 +361,10 @@ def build_parser():
             default=None,
             help="uniform | rp | rp-mc | eating | explicit=FILE",
         )
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+        p.add_argument("--seed", type=int, default=None, help=f"rp-mc seed (default {DEFAULT_SEED})")
+        p.add_argument(
+            "--samples", type=int, default=None, help=f"rp-mc samples (default {DEFAULT_SAMPLES})"
+        )
 
     solve = sub.add_parser("solve", help="run one mechanism")
     add_common(solve)

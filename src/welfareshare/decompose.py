@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .model import BoundExceededError, DisagreementPoint, Instance, MatchingInstance, Solution
 from .welfare import SetFunctionOracle
@@ -136,26 +136,22 @@ def _sufficient_partition(m: MatchingInstance) -> ComponentPartition:
     return ComponentPartition(blocks=tuple(blocks), certificate="sufficient")
 
 
-def _pareto_front(vectors: List[Tuple]) -> List[int]:
-    """Indices of Pareto-optimal vectors (duplicates all kept)."""
+def _pareto_front(vectors: List[Tuple]) -> Iterator[int]:
+    """Yield the indices of the Pareto-optimal vectors (duplicates all kept),
+    in descending order of coordinate sum.
 
-    def dominates(a, b):
-        return all(x >= y for x, y in zip(a, b)) and a != b
-
-    frontier: List[int] = []
+    A vector can only be dominated by one with a larger sum, so each is
+    checked against the front found so far, which never loses a member, and
+    a caller may stop as soon as it has seen enough.
+    """
+    at: Dict[Tuple, List[int]] = {}
     for idx, v in enumerate(vectors):
-        dominated = False
-        keep = []
-        for f in frontier:
-            if dominates(vectors[f], v):
-                dominated = True
-                keep.append(f)
-            elif not dominates(v, vectors[f]):
-                keep.append(f)
-        if not dominated:
-            keep.append(idx)
-        frontier = keep
-    return frontier
+        at.setdefault(v, []).append(idx)
+    front: List[Tuple] = []
+    for v in sorted(at, key=sum, reverse=True):
+        if not any(all(x >= y for x, y in zip(f, v)) for f in front):
+            front.append(v)
+            yield from at[v]
 
 
 def _exact_matching_blocks(m: MatchingInstance, agents, items):
@@ -164,17 +160,22 @@ def _exact_matching_blocks(m: MatchingInstance, agents, items):
     items = list(items)
     k = len(agents)
     assigns = list(permutations(items))
-    vectors = [
-        tuple(m.values[a][perm[pos]] for pos, a in enumerate(agents))
-        for perm in assigns
-    ]
-    front = _pareto_front(vectors)
+    # dominance compares each agent's values only, so her value's rank among
+    # the block's items stands in for the Fraction
+    ranks = []
+    for a in agents:
+        distinct = sorted({m.values[a][j] for j in items})
+        ranks.append({j: distinct.index(m.values[a][j]) for j in items})
+    vectors = [tuple(ranks[pos][j] for pos, j in enumerate(perm)) for perm in assigns]
     uf = _UnionFind(2 * k)
     pos_of = {j: p for p, j in enumerate(items)}
-    for idx in front:
+    merges = 0
+    for idx in _pareto_front(vectors):
         perm = assigns[idx]
         for pos in range(k):
-            uf.union(pos, k + pos_of[perm[pos]])
+            merges += uf.union(pos, k + pos_of[perm[pos]])
+        if merges == 2 * k - 1:
+            break  # one block, which no further assignment can split
     groups = {}
     for pos in range(k):
         groups.setdefault(uf.find(pos), [set(), set()])[0].add(agents[pos])

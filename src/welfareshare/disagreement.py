@@ -74,24 +74,46 @@ def _lex_perfect_matching(agents: Sequence[int], desired: Dict[int, frozenset]):
     return result
 
 
-def _serial_assignment(values, order: Sequence[int], m: int) -> List[int]:
-    """One serial-dictatorship pass; returns item index per agent."""
-    n = len(values)
+def _value_tiers(values, m: int) -> Tuple[Tuple[frozenset, ...], ...]:
+    """Per agent, her items grouped by equal value, best group first.
+
+    Built once per Random Priority call, so no draw compares values: an
+    agent's favourite remaining items are the first tier that meets the
+    items left.
+    """
+    tiers = []
+    for row in values:
+        groups: Dict[Fraction, List[int]] = {}
+        for j in range(m):
+            groups.setdefault(row[j], []).append(j)
+        tiers.append(tuple(frozenset(groups[v]) for v in sorted(groups, reverse=True)))
+    return tuple(tiers)
+
+
+def _preference_lists(tiers) -> List[List[int]]:
+    """Each agent's items best first, ties by item index (the tiers flattened)."""
+    return [[j for tier in agent_tiers for j in sorted(tier)] for agent_tiers in tiers]
+
+
+def _serial_assignment(tiers, order: Sequence[int], m: int) -> List[int]:
+    """One serial-dictatorship pass over `_value_tiers`; returns item index
+    per agent."""
     remaining = set(range(m))
-    assignment: List[int] = [-1] * n
+    assignment: List[int] = [-1] * len(tiers)
     held: Dict[int, frozenset] = {}
 
     def desired_of(i) -> frozenset:
-        row = values[i]
-        top = max(row[j] for j in remaining)
-        return frozenset(j for j in remaining if row[j] == top)
+        for tier in tiers[i]:
+            if not remaining.isdisjoint(tier):
+                return tier & remaining
+        raise ValueError("fewer items than agents")
 
     def assign(match: Dict[int, int]):
         for a, j in match.items():
             assignment[a] = j
             remaining.discard(j)
             held.pop(a, None)
-        for a in list(held):
+        for a in held:
             held[a] = desired_of(a)
 
     def release_tight():
@@ -112,7 +134,8 @@ def _serial_assignment(values, order: Sequence[int], m: int) -> List[int]:
                     break
 
     for i in order:
-        release_tight()
+        if held:
+            release_tight()
         want = desired_of(i)
         if len(want) == 1:
             assign({i: next(iter(want))})
@@ -128,6 +151,7 @@ def _rp_tiefree_utilities(values, m: int) -> Tuple[Fraction, ...]:
     """Expected RP utilities when every row has distinct values: recursion
     over (remaining agents, remaining items) with memoization."""
     n = len(values)
+    prefs = _preference_lists(_value_tiers(values, m))
     memo: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
     zeros = (Fraction(0),) * n
 
@@ -143,14 +167,11 @@ def _rp_tiefree_utilities(values, m: int) -> Tuple[Fraction, ...]:
             if not agents_mask & (1 << i):
                 continue
             count += 1
-            row = values[i]
-            best_j = max(
-                (j for j in range(m) if items_mask & (1 << j)), key=lambda j: row[j]
-            )
+            best_j = next(j for j in prefs[i] if items_mask & (1 << j))
             sub = solve(agents_mask & ~(1 << i), items_mask & ~(1 << best_j))
             for a in range(n):
                 total[a] += sub[a]
-            total[i] += row[best_j]
+            total[i] += values[i][best_j]
         result = tuple(v / count for v in total)
         memo[(agents_mask, items_mask)] = result
         return result
@@ -161,9 +182,10 @@ def _rp_tiefree_utilities(values, m: int) -> Tuple[Fraction, ...]:
 def _rp_counts(m: MatchingInstance) -> List[List[int]]:
     """counts[i][j] = number of the n! serial orders that give agent i item j."""
     n = m.n_agents
+    tiers = _value_tiers(m.values, m.n_items)
     counts = [[0] * m.n_items for _ in range(n)]
     for order in permutations(range(n)):
-        assignment = _serial_assignment(m.values, order, m.n_items)
+        assignment = _serial_assignment(tiers, order, m.n_items)
         for i in range(n):
             counts[i][assignment[i]] += 1
     return counts
@@ -222,7 +244,8 @@ def rp_montecarlo(m: MatchingInstance, samples: int, seed: int) -> DisagreementP
         raise ValueError("rp_montecarlo requires a square instance")
     n = m.n_agents
     tie_free = not _has_row_ties(m.values)
-    prefs = [sorted(range(m.n_items), key=lambda j: (-m.values[i][j], j)) for i in range(n)]
+    tiers = _value_tiers(m.values, m.n_items)
+    prefs = _preference_lists(tiers)
     counts = [[0] * m.n_items for _ in range(n)]
     rng = random.Random(seed)
     order = list(range(n))
@@ -237,7 +260,7 @@ def rp_montecarlo(m: MatchingInstance, samples: int, seed: int) -> DisagreementP
                         counts[i][j] += 1
                         break
         else:
-            assignment = _serial_assignment(m.values, order, m.n_items)
+            assignment = _serial_assignment(tiers, order, m.n_items)
             for i in range(n):
                 counts[i][assignment[i]] += 1
     utils = _expected_utilities(m, [[Fraction(c, samples) for c in row] for row in counts])

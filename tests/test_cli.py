@@ -339,6 +339,21 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["disagreement"]["provenance"] == "rp_montecarlo(seed=3, samples=40)"
 
+    @pytest.mark.parametrize(
+        "flags, provenance",
+        [
+            (["--seed", "9", "--samples", "70"], "rp_montecarlo(seed=9, samples=70)"),
+            (["--seed", "9"], "rp_montecarlo(seed=9, samples=50)"),
+            (["--samples", "70"], "rp_montecarlo(seed=4, samples=70)"),
+        ],
+    )
+    def test_command_line_beats_embedded_rp_mc_options(self, capsys, tmp_path, flags, provenance):
+        doc = dict(EX_MATCHING, disagreement={"mode": "rp-mc", "seed": 4, "samples": 50})
+        path = write_instance(tmp_path / "inst.json", doc)
+        code, out, _ = run(capsys, "solve", path, *flags)
+        assert code == 0
+        assert json.loads(out)["disagreement"]["provenance"] == provenance
+
     def test_default_rp_beyond_bound(self, capsys, tmp_path):
         n = 11
         doc = {

@@ -38,6 +38,93 @@ def square(values):
     )
 
 
+def pareto_front_reference(vectors):
+    """Indices of Pareto-optimal vectors (duplicates all kept), by a keep-list
+    rebuilt in index order; the reference for `decompose._pareto_front`."""
+
+    def dominates(a, b):
+        return all(x >= y for x, y in zip(a, b)) and a != b
+
+    frontier = []
+    for idx, v in enumerate(vectors):
+        dominated = False
+        keep = []
+        for f in frontier:
+            if dominates(vectors[f], v):
+                dominated = True
+                keep.append(f)
+            elif not dominates(v, vectors[f]):
+                keep.append(f)
+        if not dominated:
+            keep.append(idx)
+        frontier = keep
+    return frontier
+
+
+def exact_blocks_reference(m, agents, items):
+    """Components of one block from the full Pareto front of its Fraction
+    value vectors; the reference for `decompose._exact_matching_blocks`."""
+    agents, items = list(agents), list(items)
+    k = len(agents)
+    assigns = list(itertools.permutations(items))
+    vectors = [tuple(m.values[a][perm[pos]] for pos, a in enumerate(agents)) for perm in assigns]
+    uf = decompose._UnionFind(2 * k)
+    for idx in pareto_front_reference(vectors):
+        for pos in range(k):
+            uf.union(pos, k + items.index(assigns[idx][pos]))
+    groups = {}
+    for pos in range(k):
+        groups.setdefault(uf.find(pos), [set(), set()])[0].add(agents[pos])
+        groups.setdefault(uf.find(k + pos), [set(), set()])[1].add(items[pos])
+    return [(tuple(sorted(a)), tuple(sorted(it))) for a, it in groups.values()]
+
+
+class TestParetoFront:
+    def test_matches_reference(self):
+        rng = random.Random(610)
+        assert list(decompose._pareto_front([])) == pareto_front_reference([]) == []
+        for length in range(1, 7):
+            for _ in range(40):
+                # a small pool makes duplicates, a small value range ties
+                pool = [
+                    tuple(Fraction(rng.randint(-3, 3), rng.choice((1, 2))) for _ in range(length))
+                    for _ in range(rng.randint(1, 12))
+                ]
+                vectors = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
+                got = list(decompose._pareto_front(vectors))
+                assert sorted(got) == pareto_front_reference(vectors), vectors
+                sums = [sum(vectors[idx]) for idx in got]
+                assert sums == sorted(sums, reverse=True)
+
+    def test_exact_blocks_match_reference(self):
+        rng = random.Random(611)
+        for lo, hi in ((-1, 1), (-3, 3), (-10, 10)):
+            for n in range(1, 7):
+                for _ in range(3):
+                    m = random_matching(rng, n, lo, hi)
+                    want = []
+                    for agents, items in decompose._sufficient_partition(m).blocks:
+                        want.extend(exact_blocks_reference(m, agents, items))
+                    assert find_components_matching(m).blocks == tuple(sorted(want)), m.values
+
+    def test_one_block_stops_early(self, monkeypatch):
+        # identical strict rows: every assignment is Pareto-optimal, so the
+        # whole front is 7! vectors; the scan stops once the block is joined
+        seen = []
+        scan = decompose._pareto_front
+
+        def counted(vectors):
+            for idx in scan(vectors):
+                seen.append(idx)
+                yield idx
+
+        monkeypatch.setattr(decompose, "_pareto_front", counted)
+        part = find_components_matching(square([tuple(range(7, 0, -1))] * 7))
+        assert part.blocks == ((tuple(range(7)), tuple(range(7))),)
+        assert part.certificate == "exact"
+        assert 0 < len(seen) < 5040
+
+
 class TestFindComponentsMatching:
     def test_ex1_two_blocks(self):
         part = find_components_matching(fixture("EX1", delta=F("1/10")))

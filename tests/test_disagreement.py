@@ -1,12 +1,17 @@
 """Disagreement mechanisms: uniform, random priority, and eating."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from conftest import random_matching
 
 from welfareshare.disagreement import (
+    _has_row_ties,
+    _lex_perfect_matching,
+    _serial_assignment,
+    _value_tiers,
     eating,
     rp_allocation,
     rp_exact,
@@ -41,6 +46,141 @@ def serial_dictatorship_brute(m):
             totals[i] += m.values[i][best]
         count += 1
     return tuple(t / count for t in totals)
+
+
+def serial_assignment_reference(values, order, m):
+    """One serial-dictatorship pass that rescans the Fraction values of the
+    items left on every draw; the reference for `_serial_assignment`."""
+    n = len(values)
+    remaining = set(range(m))
+    assignment = [-1] * n
+    held = {}
+
+    def desired_of(i):
+        row = values[i]
+        top = max(row[j] for j in remaining)
+        return frozenset(j for j in remaining if row[j] == top)
+
+    def assign(match):
+        for a, j in match.items():
+            assignment[a] = j
+            remaining.discard(j)
+            held.pop(a, None)
+        for a in list(held):
+            held[a] = desired_of(a)
+
+    def release_tight():
+        progress = True
+        while progress and held:
+            progress = False
+            agents = sorted(held)
+            for k in range(1, len(agents) + 1):
+                hit = None
+                for combo in itertools.combinations(agents, k):
+                    union = frozenset().union(*(held[a] for a in combo))
+                    if len(union) <= k:
+                        hit = combo
+                        break
+                if hit is not None:
+                    assign(_lex_perfect_matching(hit, held))
+                    progress = True
+                    break
+
+    for i in order:
+        release_tight()
+        want = desired_of(i)
+        if len(want) == 1:
+            assign({i: next(iter(want))})
+        else:
+            held[i] = want
+    release_tight()
+    if held:
+        assign(_lex_perfect_matching(sorted(held), held))
+    return assignment
+
+
+def rp_probabilities_reference(m):
+    """x[i][j] over all n! orders of the reference pass."""
+    counts = [[0] * m.n_items for _ in range(m.n_agents)]
+    for order in itertools.permutations(range(m.n_agents)):
+        for i, j in enumerate(serial_assignment_reference(m.values, order, m.n_items)):
+            counts[i][j] += 1
+    total = math.factorial(m.n_agents)
+    return tuple(tuple(Fraction(c, total) for c in row) for row in counts)
+
+
+def rp_montecarlo_reference(m, samples, seed):
+    """Expected utilities over the same seeded orders as `rp_montecarlo`."""
+    counts = [[0] * m.n_items for _ in range(m.n_agents)]
+    rng = random.Random(seed)
+    order = list(range(m.n_agents))
+    for _ in range(samples):
+        rng.shuffle(order)
+        for i, j in enumerate(serial_assignment_reference(m.values, order, m.n_items)):
+            counts[i][j] += 1
+    return expected(m, [[Fraction(c, samples) for c in row] for row in counts])
+
+
+def expected(m, x):
+    return tuple(
+        sum((x[i][j] * m.values[i][j] for j in range(m.n_items)), Fraction(0))
+        for i in range(m.n_agents)
+    )
+
+
+# seeded instances with n <= 6, square and with one or two extra items, over
+# value ranges from tie-heavy to nearly tie-free
+def reference_instances(seed, max_n=6, extra=(0, 1, 2)):
+    rng = random.Random(seed)
+    for lo, hi in ((-1, 1), (-3, 3), (-10, 10)):
+        for n in range(1, max_n + 1):
+            for more in extra:
+                yield random_matching(rng, n, lo, hi, n_items=n + more)
+
+
+class TestTierTable:
+    def test_value_tiers(self):
+        values = ((Fraction(3), Fraction(1), Fraction(3), Fraction(2)), (Fraction(0),) * 4)
+        assert _value_tiers(values, 4) == (
+            (frozenset({0, 2}), frozenset({3}), frozenset({1})),
+            (frozenset({0, 1, 2, 3}),),
+        )
+
+    def test_serial_assignment_matches_reference_on_every_order(self):
+        for m in reference_instances(210):
+            tiers = _value_tiers(m.values, m.n_items)
+            for order in itertools.permutations(range(m.n_agents)):
+                assert _serial_assignment(tiers, order, m.n_items) == serial_assignment_reference(
+                    m.values, order, m.n_items
+                ), (m.values, order)
+
+    def test_rp_exact_matches_reference(self):
+        for m in reference_instances(211):
+            assert rp_exact(m).utilities == expected(m, rp_probabilities_reference(m)), m.values
+        rng = random.Random(212)
+        for n in range(1, 7):
+            m = random_matching(rng, n, distinct=True, n_items=n + n % 2)
+            # the tie-free recursion
+            assert not _has_row_ties(m.values)
+            assert rp_exact(m).utilities == expected(m, rp_probabilities_reference(m))
+
+    def test_rp_allocation_matches_reference(self):
+        for m in reference_instances(213, extra=(0,)):
+            x, d = rp_allocation(m)
+            assert x == rp_probabilities_reference(m), m.values
+            assert d.utilities == expected(m, x)
+
+    def test_rp_montecarlo_matches_reference_on_both_branches(self):
+        rng = random.Random(214)
+        branches = set()
+        for n in range(1, 7):
+            for distinct in (False, True):
+                m = random_matching(rng, n, -3, 3, distinct=distinct)
+                branches.add(_has_row_ties(m.values))
+                for seed in (0, 7):
+                    got = rp_montecarlo(m, samples=300, seed=seed).utilities
+                    assert got == rp_montecarlo_reference(m, 300, seed), (m.values, seed)
+        assert branches == {False, True}
 
 
 class TestUniform:

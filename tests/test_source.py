@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import re
 
 import welfareshare
 from welfareshare import decompose, disagreement, rivals, welfare
@@ -36,10 +37,24 @@ def test_no_environment_reads():
     assert _find(reads_environment) == []
 
 
+BOUNDS = {
+    "welfare.MAX_TABLE_AGENTS": 18,
+    "welfare.MAX_SUBMODULAR_AGENTS": 14,
+    "disagreement.MAX_RP_EXACT_AGENTS": 10,
+    "rivals.MAX_SHAPLEY_AGENTS": 14,
+    "decompose.MAX_EXACT_COMPONENT_AGENTS": 8,
+    "decompose.MAX_GENERAL_COMPONENT_AGENTS": 6,
+}
+
+
 def test_bound_constants():
-    assert welfare.MAX_TABLE_AGENTS == 18
-    assert welfare.MAX_SUBMODULAR_AGENTS == 14
-    assert disagreement.MAX_RP_EXACT_AGENTS == 10
-    assert rivals.MAX_SHAPLEY_AGENTS == 14
-    assert decompose.MAX_EXACT_COMPONENT_AGENTS == 8
-    assert decompose.MAX_GENERAL_COMPONENT_AGENTS == 6
+    # README's "Enumeration bounds" table has a row per bound with its value
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Enumeration bounds", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `(\w+\.MAX_\w+)` \| ([^|]*?) \|", section, re.MULTILINE))
+    modules = {"welfare": welfare, "disagreement": disagreement, "rivals": rivals, "decompose": decompose}
+    for name, value in BOUNDS.items():
+        module, constant = name.split(".")
+        current = getattr(modules[module], constant)
+        assert current == value, name
+        assert rows.get(name) == str(current), f"README bound table row for {name}"
