@@ -6,7 +6,6 @@ from .core import (
     check_anticore,
     check_domination,
     simplex_solve,
-    sufficient_conditions,
     ws_core_nonempty,
 )
 from .decompose import (
@@ -18,7 +17,7 @@ from .decompose import (
     find_components_matching,
     verify_component,
 )
-from .disagreement import eating, rp_exact, rp_montecarlo, uniform
+from .disagreement import eating, rp_allocation, rp_exact, rp_montecarlo, uniform
 from .egalitarian import (
     lexmax_lp,
     lorenz_compare,
@@ -36,6 +35,7 @@ from .model import (
     format_rational,
     normalize_to_disagreement,
     parse_rational,
+    zero_disagreement,
 )
 from .rivals import (
     MechanismReport,

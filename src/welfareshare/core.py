@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .model import DisagreementPoint
-from .welfare import SetFunctionOracle, _indicator, agents_of, is_submodular, wpi
+from .welfare import SetFunctionOracle, _indicator, agents_of, wpi
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -382,51 +382,18 @@ class CoreVerdict:
         return self.nonempty
 
 
-def _gap_function(o: SetFunctionOracle, d: DisagreementPoint):
-    """f(S) = W_max(S) - W_pi(S) on bitmasks (the normalized W_max)."""
-
-    def f(mask: int) -> Fraction:
-        return o.wmax_mask(mask) - wpi(d, agents_of(mask))
-
-    return f
-
-
 def ws_core_nonempty(o: SetFunctionOracle, d: DisagreementPoint) -> CoreVerdict:
     """Feasibility LP for the WS-core: maximize sum x subject to
     x(S) <= f(S), x >= 0, where f = W_max - W_pi.  The WS-core is nonempty
-    iff the optimum reaches f(N); the witness is u = x + d.  The verdict is
-    kept on the oracle, so a game solves the LP once."""
-    verdict = o._core_verdicts.get(d.utilities)
-    if verdict is not None:
-        return verdict
+    iff the optimum reaches f(N); the witness is u = x + d."""
     n = o.n_agents
-    f = _gap_function(o, d)
-    rows = [(_indicator(mask, n), LE, f(mask)) for mask in range(1, 1 << n)]
+    f = [o.wmax_mask(mask) - wpi(d, agents_of(mask)) for mask in range(1 << n)]
+    rows = [(_indicator(mask, n), LE, f[mask]) for mask in range(1, 1 << n)]
     lp = LinearProgram(n, [Fraction(1)] * n, rows, maximize=True, nonneg=True)
     res = simplex_solve(lp)
-    target = f(o.full_mask)
+    target = f[o.full_mask]
     if res.status != "optimal":
-        verdict = CoreVerdict(False, gap=None)
-    elif res.value == target:
-        verdict = CoreVerdict(True, witness=tuple(x + d[i] for i, x in enumerate(res.point)))
-    else:
-        verdict = CoreVerdict(False, gap=target - res.value)
-    o._core_verdicts[d.utilities] = verdict
-    return verdict
-
-
-def sufficient_conditions(o: SetFunctionOracle, d: DisagreementPoint) -> str:
-    """Which nonemptiness condition holds: "submodular" (W_max),
-    "monotone_gap" (W_max - W_pi monotone), or "neither"."""
-    if is_submodular(o):
-        return "submodular"
-    f = _gap_function(o, d)
-    n = o.n_agents
-    for mask in range(1 << n):
-        for i in range(n):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            if f(mask | bit) < f(mask):
-                return "neither"
-    return "monotone_gap"
+        return CoreVerdict(False, gap=None)
+    if res.value == target:
+        return CoreVerdict(True, witness=tuple(x + d[i] for i, x in enumerate(res.point)))
+    return CoreVerdict(False, gap=target - res.value)

@@ -6,17 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .core import (
-    EQ,
-    GE,
-    LE,
-    EmptyCoreError,
-    InfeasibleError,
-    LinearProgram,
-    lexicographic_maxmin,
-    simplex_solve,
-    ws_core_nonempty,
-)
+from .core import EQ, GE, LE, EmptyCoreError, InfeasibleError, lexicographic_maxmin
 from .model import BoundExceededError, DisagreementPoint, MatchingInstance, Solution
 from .welfare import SetFunctionOracle, _indicator, agents_of, is_submodular
 
@@ -37,78 +27,62 @@ def water_filling(
 ) -> Tuple[Optional[Solution], WaterFillingTrace]:
     """Raise all free agents uniformly until anticore constraints lock them.
 
-    Guaranteed to exhaust the welfare (and equal the lexmax solution) when
-    W_max is submodular; on other inputs it may halt early, in which case
-    the trace reports exhausted=False and no Solution is produced (a
-    non-exhausted utility vector cannot be budget balanced).  Raises
-    EmptyCoreError when d lies outside the anticore.
+    Starts by checking d(S) <= W_max(S) for every coalition S and raises
+    EmptyCoreError otherwise.  When W_max is submodular that check is exact
+    (the WS-core is nonempty iff it passes, Shapley 1971), and water filling
+    then exhausts the welfare at the lexmax solution.  On other inputs it
+    may halt early, in which case the trace reports exhausted=False and no
+    Solution is produced (a non-exhausted utility vector cannot be budget
+    balanced).
     """
     n = o.n_agents
-    full = o.full_mask
     u = list(d.utilities)
-    masks = list(range(1, 1 << n))
-    wvals = {m: o.wmax_mask(m) for m in masks}
+    masks = range(1, 1 << n)
+    d_sum = [Fraction(0)] * (1 << n)  # d(S) by low-bit subset sums
+    for m in masks:
+        low = m & -m
+        d_sum[m] = d_sum[m ^ low] + u[low.bit_length() - 1]
+    # gap[S] = W_max(S) - u(S), the one slack table; S is tight at gap 0
+    gap = [o.wmax_mask(m) - total for m, total in enumerate(d_sum)]
+    if any(g < 0 for g in gap):
+        raise EmptyCoreError("WS-core is empty")
 
-    def subset_total(mask: int) -> Fraction:
-        return sum((u[i] for i in agents_of(mask)), Fraction(0))
+    def tight_sets(found):
+        return tuple(
+            (agents_of(m), o.wmax_mask(m))
+            for m in sorted(found, key=lambda m: (bin(m).count("1"), m))
+        )
 
-    def tight_masks():
-        return {m for m in masks if subset_total(m) == wvals[m]}
-
-    free = full
-    tight_before = tight_masks()
+    tight = [m for m in masks if not gap[m]]
     init_locked = 0
-    for m in tight_before:
+    for m in tight:
         init_locked |= m
-    free &= ~init_locked
-    initial_tight = tuple(
-        (agents_of(m), wvals[m])
-        for m in sorted(tight_before, key=lambda m: (bin(m).count("1"), m))
-    )
-
+    free = o.full_mask & ~init_locked
     iterations = []
     while free:
-        best = None
-        for m in masks:
-            overlap = bin(m & free).count("1")
-            if not overlap:
-                continue
-            cand = (wvals[m] - subset_total(m)) / overlap
-            if best is None or cand < best:
-                best = cand
-        if best <= 0:
-            # only at the start, from u = d: some S has d(S) > W_max(S)
-            raise EmptyCoreError("WS-core is empty: disagreement point outside the anticore")
+        best = min(gap[m] / (m & free).bit_count() for m in masks if m & free)
         for i in agents_of(free):
             u[i] += best
-        now_tight = tight_masks()
-        new_sets = sorted(now_tight - tight_before, key=lambda m: (bin(m).count("1"), m))
-        locked = 0
-        for m in now_tight:
-            locked |= m
-        newly_locked = agents_of(free & locked)
-        if not newly_locked:
+        new_sets, locked = [], 0
+        for m in masks:
+            if m & free:
+                gap[m] -= best * (m & free).bit_count()
+                if not gap[m]:
+                    new_sets.append(m)
+                    locked |= m
+        if not locked:
             raise AssertionError("water filling locked no agent")
-        iterations.append(
-            (
-                best,
-                newly_locked,
-                tuple((agents_of(m), wvals[m]) for m in new_sets),
-            )
-        )
+        iterations.append((best, agents_of(free & locked), tight_sets(new_sets)))
         free &= ~locked
-        tight_before = now_tight
 
-    total = sum(u, Fraction(0))
-    exhausted = total == wvals[full] if n else True
     trace = WaterFillingTrace(
         iterations=tuple(iterations),
         initially_locked=agents_of(init_locked),
-        initial_tight=initial_tight,
+        initial_tight=tight_sets(tight),
         final_utilities=tuple(u),
-        exhausted=exhausted,
+        exhausted=not gap[o.full_mask],
     )
-    if not exhausted:
+    if not trace.exhausted:
         return None, trace
     alt = o.wmax_argmax(range(n))
     sol = Solution.build(alt, o.values_at(alt), u, "lexmax")
@@ -120,11 +94,11 @@ def solve_lexmax(
 ) -> Tuple[Solution, Optional[WaterFillingTrace]]:
     """The lexmax solution, and the water-filling trace when it decided.
 
-    Water filling runs only when W_max is submodular, where it exhausts the
-    welfare; otherwise the LP fallback decides and the trace is None.
+    Water filling runs only when W_max is submodular, where its start check
+    decides emptiness and it exhausts the welfare; otherwise the LP fallback
+    decides, its first LP infeasible exactly when the WS-core is empty, and
+    the trace is None.  Either path raises EmptyCoreError on an empty core.
     """
-    if not ws_core_nonempty(o, d):
-        raise EmptyCoreError("WS-core is empty")
     if _submodular(o):
         sol, trace = water_filling(o, d)
         if sol is not None:
@@ -143,26 +117,19 @@ def _submodular(o: SetFunctionOracle) -> bool:
         return False
 
 
-def ws_core_constraints(o: SetFunctionOracle, d: DisagreementPoint):
-    """Constraint rows over the n utility variables defining the WS-core."""
-    n = o.n_agents
-    rows = [
-        (_indicator(mask, n), EQ if mask == o.full_mask else LE, o.wmax_mask(mask))
-        for mask in range(1, 1 << n)
-    ]
-    return rows + [(_indicator(1 << i, n), GE, d[i]) for i in range(n)]
-
-
 def lexmax_lp(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
     """Lexicographically maximal WS-core point via iterative max-min LPs.
 
     Lexicographic comparison is over the gains u_i - d_i (the solution is
     defined on the instance normalized so the disagreement point is 0);
     water filling raises gains uniformly and agrees with this whenever it
-    certifies.
+    certifies.  Raises EmptyCoreError when the WS-core rows are infeasible.
     """
     n = o.n_agents
-    rows = ws_core_constraints(o, d)
+    rows = [
+        (_indicator(mask, n), EQ if mask == o.full_mask else LE, o.wmax_mask(mask))
+        for mask in range(1, 1 << n)
+    ] + [(_indicator(1 << i, n), GE, d[i]) for i in range(n)]
     exprs = [(_indicator(1 << i, n), -d[i]) for i in range(n)]
     try:
         levels, _ = lexicographic_maxmin(n, rows, exprs)
@@ -201,43 +168,3 @@ def lorenz_compare(u: Sequence[Fraction], w: Sequence[Fraction]) -> str:
     if w_ge:
         return "w_dominates"
     return "incomparable"
-
-
-def sample_ws_core_point(
-    o: SetFunctionOracle, d: DisagreementPoint, objective: Sequence[Fraction]
-):
-    """A WS-core point maximizing an arbitrary linear objective (exact)."""
-    rows = ws_core_constraints(o, d)
-    res = simplex_solve(
-        LinearProgram(o.n_agents, list(objective), rows, maximize=True)
-    )
-    if res.status != "optimal":
-        raise EmptyCoreError("WS-core is empty or unbounded")
-    return res.point
-
-
-def reconstruct_from_trace(trace: WaterFillingTrace, d: DisagreementPoint):
-    """Rebuild the final utilities from the recorded tight sets alone.
-
-    Tight sets are processed in discovery order; within each set the agents
-    not yet pinned split the residual welfare equally above their
-    disagreement utilities.  Any agents left at the end split what remains
-    of the grand-coalition welfare the same way.
-    """
-    n = len(d.utilities)
-    u: dict = {}
-    ordered = list(trace.initial_tight)
-    for _, _, sets in trace.iterations:
-        ordered.extend(sets)
-    for members, value in ordered:
-        fresh = [i for i in members if i not in u]
-        if not fresh:
-            continue
-        residual = value - sum((u[i] for i in members if i in u), Fraction(0))
-        lift = (residual - sum((d[i] for i in fresh), Fraction(0))) / len(fresh)
-        for i in fresh:
-            u[i] = d[i] + lift
-    for i in range(n):
-        if i not in u:
-            u[i] = trace.final_utilities[i]
-    return tuple(u[i] for i in range(n))

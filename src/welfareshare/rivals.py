@@ -95,6 +95,10 @@ def ks_bargaining(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
     sum_b = sum(b, Fraction(0))
     sum_d = d.total()
     if sum_b == sum_d:
+        # sum_b >= W_max(N) always: d(N) either equals W_max(N), where u = d
+        # balances, or exceeds it, and the WS-core is empty
+        if sum_d != o.wmax_mask(o.full_mask):
+            raise EmptyCoreError("WS-core is empty")
         u = d.utilities
     else:
         t = (o.wmax_mask(o.full_mask) - sum_d) / (sum_b - sum_d)

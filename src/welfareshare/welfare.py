@@ -38,10 +38,6 @@ def _indicator(mask: int, n: int) -> list:
     return [Fraction(mask >> i & 1) for i in range(n)]
 
 
-def iter_nonempty_masks(n: int):
-    return range(1, 1 << n)
-
-
 # a table has 2^n entries; README gives a build's time and memory at 18 agents
 MAX_TABLE_AGENTS = 18
 
@@ -67,7 +63,6 @@ class SetFunctionOracle:
         # memo-miss test in bench/tracer.py
         self._memo = {}
         self._argmax = []  # mask -> argmax
-        self._core_verdicts = {}  # d.utilities -> core.ws_core_nonempty's verdict
 
     @property
     def full_mask(self) -> int:

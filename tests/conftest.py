@@ -1,4 +1,4 @@
-"""Shared generators for randomized test suites.
+"""Shared generators for randomized test suites, and test-only helpers.
 
 Everything is seeded; a failure reproduces deterministically.
 """
@@ -6,7 +6,9 @@ Everything is seeded; a failure reproduces deterministically.
 import random
 from fractions import Fraction
 
-from welfareshare.model import Instance, MatchingInstance
+from welfareshare.core import EQ, GE, LE, EmptyCoreError, LinearProgram, simplex_solve
+from welfareshare.model import DisagreementPoint, Instance, MatchingInstance
+from welfareshare.welfare import SetFunctionOracle, _indicator, agents_of, is_submodular, wpi
 
 
 def random_matching(rng: random.Random, n: int, lo: int = -10, hi: int = 10,
@@ -82,3 +84,65 @@ def planted_block_matching(rng: random.Random, block_sizes) -> tuple:
         rent=Fraction(0),
     )
     return inst, tuple(blocks)
+
+
+def sample_ws_core_point(o: SetFunctionOracle, d: DisagreementPoint, objective):
+    """A WS-core point maximizing an arbitrary linear objective (exact)."""
+    n = o.n_agents
+    rows = [
+        (_indicator(mask, n), EQ if mask == o.full_mask else LE, o.wmax_mask(mask))
+        for mask in range(1, 1 << n)
+    ] + [(_indicator(1 << i, n), GE, d[i]) for i in range(n)]
+    res = simplex_solve(
+        LinearProgram(o.n_agents, list(objective), rows, maximize=True)
+    )
+    if res.status != "optimal":
+        raise EmptyCoreError("WS-core is empty or unbounded")
+    return res.point
+
+
+def reconstruct_from_trace(trace, d: DisagreementPoint):
+    """Rebuild the final utilities from the recorded tight sets alone.
+
+    Tight sets are processed in discovery order; within each set the agents
+    not yet pinned split the residual welfare equally above their
+    disagreement utilities.  Any agents left at the end split what remains
+    of the grand-coalition welfare the same way.
+    """
+    n = len(d.utilities)
+    u: dict = {}
+    ordered = list(trace.initial_tight)
+    for _, _, sets in trace.iterations:
+        ordered.extend(sets)
+    for members, value in ordered:
+        fresh = [i for i in members if i not in u]
+        if not fresh:
+            continue
+        residual = value - sum((u[i] for i in members if i in u), Fraction(0))
+        lift = (residual - sum((d[i] for i in fresh), Fraction(0))) / len(fresh)
+        for i in fresh:
+            u[i] = d[i] + lift
+    for i in range(n):
+        if i not in u:
+            u[i] = trace.final_utilities[i]
+    return tuple(u[i] for i in range(n))
+
+
+def sufficient_conditions(o: SetFunctionOracle, d: DisagreementPoint) -> str:
+    """Which nonemptiness condition holds: "submodular" (W_max),
+    "monotone_gap" (W_max - W_pi monotone), or "neither"."""
+    if is_submodular(o):
+        return "submodular"
+
+    def f(mask: int) -> Fraction:
+        return o.wmax_mask(mask) - wpi(d, agents_of(mask))
+
+    n = o.n_agents
+    for mask in range(1 << n):
+        for i in range(n):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            if f(mask | bit) < f(mask):
+                return "neither"
+    return "monotone_gap"

@@ -11,13 +11,14 @@ import math
 import random
 from fractions import Fraction
 
-from conftest import planted_block_matching, random_general, random_matching
-from welfareshare.core import (
-    check_anticore,
-    check_domination,
+from conftest import (
+    planted_block_matching,
+    random_general,
+    random_matching,
+    sample_ws_core_point,
     sufficient_conditions,
-    ws_core_nonempty,
 )
+from welfareshare.core import check_anticore, check_domination, ws_core_nonempty
 from welfareshare.decompose import (
     check_strong_decomposability,
     check_weak_decomposability,
@@ -27,7 +28,6 @@ from welfareshare.disagreement import eating, rp_allocation, rp_exact, rp_montec
 from welfareshare.egalitarian import (
     lexmax_lp,
     lorenz_compare,
-    sample_ws_core_point,
     sum_squares,
     water_filling,
 )
@@ -40,12 +40,7 @@ from welfareshare.rivals import (
     run_mechanism,
     shapley,
 )
-from welfareshare.welfare import (
-    SetFunctionOracle,
-    is_submodular,
-    iter_nonempty_masks,
-    wmax,
-)
+from welfareshare.welfare import SetFunctionOracle, is_submodular, wmax
 
 F = Fraction
 
@@ -221,7 +216,7 @@ def test_criterion_4_lexmax_properties_submodular():
         # The family of tight anticore sets forms a lattice.
         subset_sum = [F(0)] * (1 << n)
         tight = {0}
-        for mask in iter_nonempty_masks(n):
+        for mask in range(1, 1 << n):
             low = mask & -mask
             subset_sum[mask] = subset_sum[mask ^ low] + u[low.bit_length() - 1]
             if subset_sum[mask] == o.wmax_mask(mask):

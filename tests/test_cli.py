@@ -404,10 +404,33 @@ class TestEmptyCore:
         assert code == 4
         assert err == "error: WS-core is empty\n"
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"kind": "general", "alternatives": ["a", "b"], "values": [[-1, 0], [-1, 1], [0, -1]],
+             "disagreement": {"mode": "explicit", "utilities": ["1", "1", "-1"]}},
+            {"kind": "matching", "items": ["w", "x", "y", "z"],
+             "values": [[-3, 3, 2, -6], [-2, -10, 3, -10], [2, 8, 1, 1], [4, 2, -4, -9]],
+             "disagreement": {"mode": "explicit", "utilities": ["5", "7", "5", "1"]}},
+            {"kind": "matching", "items": ["x", "y"], "values": [[7, -3], [1, -9]], "rent": "-2",
+             "disagreement": {"mode": "explicit", "utilities": ["4", "6"]}},
+        ],
+    )
+    def test_ks_at_the_best_point(self, capsys, tmp_path, doc):
+        # d(N) = sum of W_max({i}) > W_max(N): ks has no balanced point
+        path = write_instance(tmp_path / "inst.json", doc)
+        code, _, err = run(capsys, "solve", path, "--mechanism", "ks")
+        assert (code, err) == (4, "error: WS-core is empty\n")
+        code, out, _ = run(capsys, "compare", path, "--output", "json")
+        assert code == 0
+        errors = {e["mechanism"]: e.get("error") for e in json.loads(out)}
+        assert errors["ks"] == errors["lexmax"] == "empty WS-core"
+        assert errors["shapley"] is errors["nash"] is None
+
     @pytest.mark.parametrize("fixture", ["fixture:EX1(delta=1/10)", "fixture:EMPTY_CORE"])
     def test_compare_solves_the_core_lp_once(self, capsys, monkeypatch, fixture):
-        # the lexmax and nucleolus-ws guards share one verdict per game; the
-        # WS-core feasibility LP is the only one over nonnegative variables
+        # only the nucleolus-ws guard solves the WS-core feasibility LP, the
+        # one LP over nonnegative variables; lexmax decides emptiness itself
         core_lps = []
         solve = core.simplex_solve
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_general, random_matching
+from conftest import random_general, random_matching, sufficient_conditions
 
 from welfareshare.core import (
     EQ,
@@ -16,12 +16,11 @@ from welfareshare.core import (
     check_domination,
     lexicographic_maxmin,
     simplex_solve,
-    sufficient_conditions,
     ws_core_nonempty,
 )
 from welfareshare.disagreement import rp_exact, uniform
 from welfareshare.model import DisagreementPoint, fixture, zero_disagreement
-from welfareshare.welfare import SetFunctionOracle, dual, iter_nonempty_masks, wmax
+from welfareshare.welfare import SetFunctionOracle, dual, wmax
 
 
 def F(x):
@@ -86,7 +85,7 @@ class TestSimplex:
         d = zero_disagreement(2)
         n = 2
         rows = []
-        for mask in iter_nonempty_masks(n):
+        for mask in range(1, 1 << n):
             coeffs = [F(1) if mask & (1 << i) else F(0) for i in range(n)]
             agents = [i for i in range(n) if mask & (1 << i)]
             rows.append((coeffs, LE, wmax(o, agents) - d.total(agents)))
@@ -213,7 +212,7 @@ class TestWSCore:
             d = uniform(inst)
             verdict = ws_core_nonempty(o, d)
             a_ub, b_ub = [], []
-            for mask in iter_nonempty_masks(n):
+            for mask in range(1, 1 << n):
                 if mask == (1 << n) - 1:
                     continue
                 agents = [i for i in range(n) if mask & (1 << i)]
@@ -261,6 +260,6 @@ class TestDuality:
             verdict = ws_core_nonempty(o, d)
             assert verdict
             u = verdict.witness
-            for mask in iter_nonempty_masks(3):
+            for mask in range(1, 1 << 3):
                 agents = [i for i in range(3) if mask & (1 << i)]
                 assert sum(u[i] for i in agents) >= dual(o, agents)

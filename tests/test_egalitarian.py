@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_matching
+from conftest import random_general, random_matching, reconstruct_from_trace, sample_ws_core_point
 
 import welfareshare
 from welfareshare.core import EmptyCoreError, check_anticore, check_domination, ws_core_nonempty
@@ -16,14 +16,12 @@ from welfareshare.disagreement import rp_exact, uniform
 from welfareshare.egalitarian import (
     lexmax_lp,
     lorenz_compare,
-    reconstruct_from_trace,
-    sample_ws_core_point,
     solve_lexmax,
     sum_squares,
     water_filling,
 )
 from welfareshare.model import DisagreementPoint, fixture, zero_disagreement
-from welfareshare.welfare import SetFunctionOracle, wmax
+from welfareshare.welfare import SetFunctionOracle, is_submodular, wmax
 
 
 def F(x):
@@ -186,6 +184,64 @@ class TestSolveLexmax:
         sol, trace = solve_lexmax(o, d)
         assert sol.utilities == (0, 1, 1)
         assert trace is None
+
+
+def emptiness_games(rng, count, general):
+    """Seeded games with explicit disagreement points, often outside the
+    anticore: each d_i is a random value or W_max({i}), so tight singletons
+    can lock every agent before the set that d overfills is seen."""
+    for _ in range(count):
+        n = rng.choice([2, 3, 3, 4, 4, 5, 6] if not general else [2, 3, 4])
+        lo, hi = rng.choice([(-3, 3), (-10, 10)])
+        if general:
+            inst = random_general(rng, n, rng.randint(1, 4), lo, hi)
+        else:
+            inst = random_matching(rng, n, lo, hi)
+        o = SetFunctionOracle(inst)
+        d = DisagreementPoint(
+            tuple(rng.choice([o.wmax_mask(1 << i), F(rng.randint(lo, hi))]) for i in range(n)),
+            "explicit",
+        )
+        yield o, d
+
+
+class TestEmptinessDifferential:
+    """Lexmax decides WS-core emptiness itself; the WS-core LP of
+    `ws_core_nonempty` is the reference verdict."""
+
+    def test_water_filling_on_submodular_games(self):
+        rng = random.Random(406)
+        games = list(emptiness_games(rng, 150, general=False))
+        for _ in range(20):
+            m = random_matching(rng, rng.randint(2, 6), lo=-3, hi=3)
+            games.append((SetFunctionOracle(m), rp_exact(m)))
+        games += [g for g in emptiness_games(rng, 80, general=True) if is_submodular(g[0])]
+        empty = 0
+        for o, d in games:
+            verdict = ws_core_nonempty(o, d)
+            empty += not verdict
+            if verdict:
+                sol, trace = water_filling(o, d)
+                assert trace.exhausted and check_anticore(o, sol.utilities)
+            else:
+                with pytest.raises(EmptyCoreError, match="^WS-core is empty$"):
+                    water_filling(o, d)
+        assert 30 <= empty <= len(games) - 30
+
+    def test_solve_lexmax_on_non_submodular_games(self):
+        rng = random.Random(407)
+        games = [g for g in emptiness_games(rng, 160, general=True) if not is_submodular(g[0])]
+        games += [(o, uniform(o.backing)) for o, _ in games]
+        empty = 0
+        for o, d in games:
+            verdict = ws_core_nonempty(o, d)
+            empty += not verdict
+            if verdict:
+                assert check_domination(solve_lexmax(o, d)[0].utilities, d)
+            else:
+                with pytest.raises(EmptyCoreError):
+                    solve_lexmax(o, d)
+        assert 20 <= empty <= len(games) - 20
 
 
 class TestSumSquares:

@@ -58,3 +58,27 @@ def test_bound_constants():
         current = getattr(modules[module], constant)
         assert current == value, name
         assert rows.get(name) == str(current), f"README bound table row for {name}"
+
+
+def test_no_test_only_code():
+    # each top-level function or class is used by the library or exported;
+    # test-only helpers and references live in tests/
+    defined, used = [], set()
+    for path in sorted(ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined += [
+            (f"{path.relative_to(ROOT)}:{node.lineno}", node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    stray = [
+        f"{where} {name}"
+        for where, name in defined
+        if name not in used and name not in welfareshare.__all__
+    ]
+    assert stray == []
