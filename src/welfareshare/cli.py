@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Context, Decimal
 from fractions import Fraction
 
 from . import decompose as dec
@@ -146,7 +147,13 @@ def resolve_disagreement(inst, args, embedded):
 
 
 def _approx(x: Fraction) -> str:
-    return f"{float(x):.6g}"
+    """x to 6 significant digits, for display only."""
+    try:
+        return f"{float(x):.6g}"
+    except OverflowError:
+        # past the float range: round the exact quotient to 6 digits instead
+        q = Context(prec=6).divide(Decimal(x.numerator), Decimal(x.denominator))
+        return f"{q.normalize():.6g}"
 
 
 def solution_doc(sol, d):

@@ -1,8 +1,10 @@
 """WS-core machinery and the exact rational LP engine.
 
-The simplex here is a dense two-phase tableau method over Fractions with
-Bland's anti-cycling rule.  It is deliberately simple: instance sizes are
-desk scale (tens of rows), and exactness matters more than speed.
+The simplex here is a dense two-phase tableau method with Bland's
+anti-cycling rule over exact numbers: Python ints where a constraint
+entry is integral, Fractions elsewhere, and never floats.  It is
+deliberately simple: instance sizes are desk scale (tens of rows), and
+exactness matters more than speed.
 """
 
 from __future__ import annotations
@@ -44,10 +46,19 @@ class EmptyCoreError(ValueError):
     """Raised by solvers that require a nonempty WS-core."""
 
 
+def _exact(v):
+    """v as an int when it is integral, else as a Fraction."""
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
 def _pivot(rows, obj, basis, r, c):
     prow = rows[r]
-    inv = Fraction(1) / prow[c]
-    if inv != 1:
+    p = prow[c]
+    if p == -1:
+        rows[r] = prow = [-v for v in prow]
+    elif p != 1:
+        inv = Fraction(1) / p
         rows[r] = prow = [v * inv if v else v for v in prow]
     support = [j for j, v in enumerate(prow) if v]
     for other in range(len(rows)):
@@ -107,16 +118,24 @@ def _objective_row(cost, rows, basis, ncols):
 
 
 def simplex_solve(lp: LinearProgram) -> LPResult:
+    """Two-phase simplex with Bland's rule over exact ints and Fractions.
+
+    An integral constraint entry is an int, and a pivot on a +-1 entry keeps
+    it one; only a division by another pivot makes Fractions.  The
+    right-hand-side column and the objective row are Fractions throughout,
+    so the ratio test never divides int by int, and `value` and `point` are
+    Fractions.
+    """
     nv = lp.n_vars
     split = not lp.nonneg
     base_cols = nv if not split else 2 * nv
 
     def expand(row):
+        row = [_exact(v) for v in row]
         if not split:
-            return [Fraction(v) for v in row]
+            return row
         out = []
         for v in row:
-            v = Fraction(v)
             out.append(v)
             out.append(-v)
         return out
@@ -142,21 +161,21 @@ def simplex_solve(lp: LinearProgram) -> LPResult:
     art_cols = set(range(art_at, ncols))
     slack_of = []  # (row index, slack column) per inequality row
     for k, (coeffs, rel, rhs) in enumerate(normed):
-        row = coeffs + [Fraction(0)] * (ncols - base_cols) + [rhs]
+        row = coeffs + [0] * (ncols - base_cols) + [rhs]
         if rel != EQ:
             slack_of.append((k, slack_at))
         if rel == LE:
-            row[slack_at] = Fraction(1)
+            row[slack_at] = 1
             basis.append(slack_at)
             slack_at += 1
         elif rel == GE:
-            row[slack_at] = Fraction(-1)
+            row[slack_at] = -1
             slack_at += 1
-            row[art_at] = Fraction(1)
+            row[art_at] = 1
             basis.append(art_at)
             art_at += 1
         else:
-            row[art_at] = Fraction(1)
+            row[art_at] = 1
             basis.append(art_at)
             art_at += 1
         rows.append(row)

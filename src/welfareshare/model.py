@@ -1,7 +1,8 @@
 """Domain types: exact rationals, instances, disagreement points, solutions.
 
-All arithmetic in the solvers is done on `fractions.Fraction`; floats never
-enter them.
+All arithmetic in the solvers is exact: values are `fractions.Fraction`s,
+and the LP tableau keeps integral entries as Python ints.  Floats never
+enter the solvers.
 """
 
 from __future__ import annotations

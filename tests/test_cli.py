@@ -189,6 +189,15 @@ class TestSolve:
         assert "mechanism: lexmax" in out
         assert "≈" in out
 
+    def test_table_output_past_the_float_range(self, capsys, tmp_path):
+        # 1e400 overflows a float; the approximate column rounds exactly
+        doc = {"kind": "matching", "items": ["a", "b"], "values": [["1e400", "0"], ["0", "1"]]}
+        code, out, _ = run(
+            capsys, "solve", write_instance(tmp_path / "big.json", doc), "--output", "table"
+        )
+        assert code == 0
+        assert "≈1e+400" in out
+
     def test_json_values_are_exact_rationals(self, capsys):
         code, out, _ = run(capsys, "solve", "fixture:EX5", "--disagreement", "uniform")
         assert code == 0

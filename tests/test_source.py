@@ -37,6 +37,22 @@ def test_no_environment_reads():
     assert _find(reads_environment) == []
 
 
+def _is_float(node):
+    if isinstance(node, ast.Constant):
+        return isinstance(node.value, float)
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float"
+
+
+def test_no_floats():
+    # every solver value is exact; the one float is the table's display
+    # approximation in cli._approx
+    tree = ast.parse((ROOT / "cli.py").read_text())
+    approx = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_approx")
+    allowed = {f"cli.py:{node.lineno}" for node in ast.walk(approx) if _is_float(node)}
+    assert allowed
+    assert [where for where in _find(_is_float) if where not in allowed] == []
+
+
 BOUNDS = {
     "welfare.MAX_TABLE_AGENTS": 18,
     "welfare.MAX_SUBMODULAR_AGENTS": 14,
