@@ -149,11 +149,14 @@ def resolve_disagreement(inst, args, embedded):
 def _approx(x: Fraction) -> str:
     """x to 6 significant digits, for display only."""
     try:
-        return f"{float(x):.6g}"
+        f = float(x)
     except OverflowError:
-        # past the float range: round the exact quotient to 6 digits instead
-        q = Context(prec=6).divide(Decimal(x.numerator), Decimal(x.denominator))
-        return f"{q.normalize():.6g}"
+        f = 0.0  # no float: take the quotient below
+    if abs(f) >= sys.float_info.min or not x:
+        return f"{f:.6g}"
+    # out of the normal float range: round the exact quotient to 6 digits
+    q = Context(prec=6).divide(Decimal(x.numerator), Decimal(x.denominator))
+    return f"{q.normalize():.6g}"
 
 
 def solution_doc(sol, d):

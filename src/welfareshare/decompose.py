@@ -2,8 +2,8 @@
 
 A block (P, M) of a matching instance is an independent component when
 every Pareto-optimal assignment matches P's agents inside M.  The exact
-path enumerates Pareto-optimal assignments; the fast path certifies a
-partition through the sufficient condition that every agent strictly
+path joins the edges of Pareto-optimal assignments; the fast path certifies
+a partition through the sufficient condition that every agent strictly
 prefers all of her block's items to every item outside it.
 """
 
@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from .disagreement import _has_row_ties, _rp_counts
 from .model import BoundExceededError, DisagreementPoint, Instance, MatchingInstance, Solution
 from .welfare import SetFunctionOracle
 
@@ -155,27 +156,33 @@ def _pareto_front(vectors: List[Tuple]) -> Iterator[int]:
 
 
 def _exact_matching_blocks(m: MatchingInstance, agents, items):
-    """Components of one sub-block by Pareto-optimal assignment enumeration."""
-    agents = list(agents)
-    items = list(items)
+    """Components of one sub-block: the groups its Pareto-optimal assignments
+    join.  With strict rows these are the serial-dictatorship outcomes
+    (Abdulkadiroglu & Sonmez 1998), so their edges are the support of the
+    Random Priority count table; with ties the k! assignments are scanned."""
     k = len(agents)
-    assigns = list(permutations(items))
-    # dominance compares each agent's values only, so her value's rank among
-    # the block's items stands in for the Fraction
-    ranks = []
-    for a in agents:
-        distinct = sorted({m.values[a][j] for j in items})
-        ranks.append({j: distinct.index(m.values[a][j]) for j in items})
-    vectors = [tuple(ranks[pos][j] for pos, j in enumerate(perm)) for perm in assigns]
+    block = m.restrict(agents, items)
     uf = _UnionFind(2 * k)
-    pos_of = {j: p for p, j in enumerate(items)}
-    merges = 0
-    for idx in _pareto_front(vectors):
-        perm = assigns[idx]
-        for pos in range(k):
-            merges += uf.union(pos, k + pos_of[perm[pos]])
-        if merges == 2 * k - 1:
-            break  # one block, which no further assignment can split
+    if not _has_row_ties(block.values):
+        for pos, row in enumerate(_rp_counts(block)):
+            for col, count in enumerate(row):
+                if count:
+                    uf.union(pos, k + col)
+    else:
+        assigns = list(permutations(range(k)))
+        # dominance compares each agent's values only, so her value's rank
+        # among the block's items stands in for the Fraction
+        ranks = []
+        for row in block.values:
+            distinct = sorted(set(row))
+            ranks.append([distinct.index(v) for v in row])
+        vectors = [tuple(ranks[pos][col] for pos, col in enumerate(perm)) for perm in assigns]
+        merges = 0
+        for idx in _pareto_front(vectors):
+            for pos, col in enumerate(assigns[idx]):
+                merges += uf.union(pos, k + col)
+            if merges == 2 * k - 1:
+                break  # one block, which no further assignment can split
     groups = {}
     for pos in range(k):
         groups.setdefault(uf.find(pos), [set(), set()])[0].add(agents[pos])
@@ -184,7 +191,7 @@ def _exact_matching_blocks(m: MatchingInstance, agents, items):
     return [(tuple(sorted(a)), tuple(sorted(it))) for a, it in groups.values()]
 
 
-# the exact path lists a block's k! assignments, at most 8! = 40,320; a larger
+# a block with ties lists its k! assignments, at most 8! = 40,320; a larger
 # matching keeps the sufficient partition.  README gives the time at 8 agents
 MAX_EXACT_COMPONENT_AGENTS = 8
 

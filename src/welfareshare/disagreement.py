@@ -147,48 +147,43 @@ def _serial_assignment(tiers, order: Sequence[int], m: int) -> List[int]:
     return assignment
 
 
-def _rp_tiefree_utilities(values, m: int) -> Tuple[Fraction, ...]:
-    """Expected RP utilities when every row has distinct values: recursion
-    over (remaining agents, remaining items) with memoization."""
-    n = len(values)
-    prefs = _preference_lists(_value_tiers(values, m))
-    memo: Dict[Tuple[int, int], Tuple[Fraction, ...]] = {}
-    zeros = (Fraction(0),) * n
-
-    def solve(agents_mask: int, items_mask: int) -> Tuple[Fraction, ...]:
-        if agents_mask == 0:
-            return zeros
-        got = memo.get((agents_mask, items_mask))
-        if got is not None:
-            return got
-        total = list(zeros)
-        count = 0
-        for i in range(n):
-            if not agents_mask & (1 << i):
-                continue
-            count += 1
-            best_j = next(j for j in prefs[i] if items_mask & (1 << j))
-            sub = solve(agents_mask & ~(1 << i), items_mask & ~(1 << best_j))
-            for a in range(n):
-                total[a] += sub[a]
-            total[i] += values[i][best_j]
-        result = tuple(v / count for v in total)
-        memo[(agents_mask, items_mask)] = result
-        return result
-
-    return solve((1 << n) - 1, (1 << m) - 1)
-
-
 def _rp_counts(m: MatchingInstance) -> List[List[int]]:
-    """counts[i][j] = number of the n! serial orders that give agent i item j."""
-    n = m.n_agents
-    tiers = _value_tiers(m.values, m.n_items)
-    counts = [[0] * m.n_items for _ in range(n)]
-    for order in permutations(range(n)):
-        assignment = _serial_assignment(tiers, order, m.n_items)
-        for i in range(n):
-            counts[i][assignment[i]] += 1
+    """counts[i][j] = number of the n! serial orders that give agent i item j.
+
+    Without row ties a pick depends only on the items left, so each (agents
+    not yet drawn, items left) state is visited once, level by level, with
+    the number of order prefixes that reach it; a pick there stands for
+    that number times (agents left - 1)! orders.  With ties every order
+    runs through `_serial_assignment`.
+    """
+    n, k = m.n_agents, m.n_items
+    tiers = _value_tiers(m.values, k)
+    counts = [[0] * k for _ in range(n)]
+    if _has_row_ties(m.values):
+        for order in permutations(range(n)):
+            for i, j in enumerate(_serial_assignment(tiers, order, k)):
+                counts[i][j] += 1
+        return counts
+    prefs = _preference_lists(tiers)
+    level = {((1 << n) - 1, (1 << k) - 1): 1}
+    for left in range(n, 0, -1):
+        tail = math.factorial(left - 1)
+        below: Dict[Tuple[int, int], int] = {}
+        for (agents, items), ways in level.items():
+            for i in range(n):
+                if agents >> i & 1:
+                    j = next(j for j in prefs[i] if items >> j & 1)
+                    counts[i][j] += ways * tail
+                    state = (agents & ~(1 << i), items & ~(1 << j))
+                    below[state] = below.get(state, 0) + ways
+        level = below
     return counts
+
+
+def _rp_probabilities(m: MatchingInstance):
+    """x[i][j] = probability that Random Priority gives agent i item j."""
+    total = math.factorial(m.n_agents)
+    return tuple(tuple(Fraction(c, total) for c in row) for row in _rp_counts(m))
 
 
 def _expected_utilities(m: MatchingInstance, x) -> Tuple[Fraction, ...]:
@@ -210,29 +205,20 @@ def rp_exact(m: MatchingInstance) -> DisagreementPoint:
     Accepts any instance with at least as many items as agents; agents in
     turn pick their favorite remaining item, extra items go unassigned.
     """
-    n = m.n_agents
-    if n > MAX_RP_EXACT_AGENTS:
+    if m.n_agents > MAX_RP_EXACT_AGENTS:
         raise BoundExceededError("rp_exact bound exceeded; use rp_montecarlo")
-    if not _has_row_ties(m.values):
-        utils = _rp_tiefree_utilities(m.values, m.n_items)
-    else:
-        total = math.factorial(n)
-        utils = _expected_utilities(m, [[Fraction(c, total) for c in row] for row in _rp_counts(m)])
+    utils = _expected_utilities(m, _rp_probabilities(m))
     return DisagreementPoint(utilities=utils, provenance="rp_exact")
 
 
 def rp_allocation(m: MatchingInstance):
-    """(probability matrix, DisagreementPoint) under exact Random Priority.
-
-    Full order enumeration; x[i][j] = probability agent i receives item j.
-    """
+    """(probability matrix, DisagreementPoint) under exact Random Priority;
+    x[i][j] = probability agent i receives item j."""
     if not m.is_square:
         raise ValueError("rp_allocation requires a square instance")
-    n = m.n_agents
-    if n > MAX_RP_EXACT_AGENTS:
+    if m.n_agents > MAX_RP_EXACT_AGENTS:
         raise BoundExceededError("rp_allocation bound exceeded")
-    total = math.factorial(n)
-    x = tuple(tuple(Fraction(c, total) for c in row) for row in _rp_counts(m))
+    x = _rp_probabilities(m)
     return x, DisagreementPoint(utilities=_expected_utilities(m, x), provenance="rp_exact")
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-from .core import EQ, GE, LE, EmptyCoreError, InfeasibleError, lexicographic_maxmin
+from .core import EQ, LE, EmptyCoreError, InfeasibleError, lexicographic_maxmin
 from .model import BoundExceededError, DisagreementPoint, MatchingInstance, Solution
 from .welfare import SetFunctionOracle, _indicator, agents_of, is_submodular
 
@@ -123,18 +123,21 @@ def lexmax_lp(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
     Lexicographic comparison is over the gains u_i - d_i (the solution is
     defined on the instance normalized so the disagreement point is 0);
     water filling raises gains uniformly and agrees with this whenever it
-    certifies.  Raises EmptyCoreError when the WS-core rows are infeasible.
+    certifies.  The rows leave out u >= d: the WS-core is empty, and this
+    raises EmptyCoreError, exactly when the smallest gain level is negative.
     """
     n = o.n_agents
     rows = [
         (_indicator(mask, n), EQ if mask == o.full_mask else LE, o.wmax_mask(mask))
         for mask in range(1, 1 << n)
-    ] + [(_indicator(1 << i, n), GE, d[i]) for i in range(n)]
+    ]
     exprs = [(_indicator(1 << i, n), -d[i]) for i in range(n)]
     try:
         levels, _ = lexicographic_maxmin(n, rows, exprs)
     except InfeasibleError as exc:
         raise EmptyCoreError("WS-core is empty") from exc
+    if min(levels) < 0:
+        raise EmptyCoreError("WS-core is empty")
     u = [levels[i] + d[i] for i in range(n)]
     alt = o.wmax_argmax(range(n))
     return Solution.build(alt, o.values_at(alt), u, "lexmax")

@@ -14,7 +14,6 @@ from .core import (
     check_anticore,
     check_domination,
     lexicographic_maxmin,
-    ws_core_nonempty,
 )
 from .egalitarian import solve_lexmax
 from .model import BoundExceededError, DisagreementPoint, MatchingInstance, Solution
@@ -119,10 +118,9 @@ def nucleolus_ws(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
 
     The lexicographic max-min of the excesses u(S) - g(S) over nonempty
     proper S, subject to u(N) = W_max(N).  Once every excess is fixed the
-    singletons pin u.
+    singletons pin u.  Those rows with every excess >= 0 are the WS-core,
+    so it is empty exactly when the point is not in it.
     """
-    if not ws_core_nonempty(o, d):
-        raise EmptyCoreError("WS-core is empty")
     n = o.n_agents
     full = o.full_mask
     exprs = []
@@ -131,6 +129,8 @@ def nucleolus_ws(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
         g = max(dual(o, members), wpi(d, members))
         exprs.append((_indicator(mask, n), -g))
     _, u = lexicographic_maxmin(n, [([1] * n, EQ, o.wmax_mask(full))], exprs)
+    if not (check_domination(u, d) and check_anticore(o, u)):
+        raise EmptyCoreError("WS-core is empty")
     return _solution_from_utilities(o, u, "nucleolus-ws")
 
 

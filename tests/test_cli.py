@@ -198,6 +198,26 @@ class TestSolve:
         assert code == 0
         assert "≈1e+400" in out
 
+    @pytest.mark.parametrize(
+        "x, text",
+        [
+            # a subnormal float keeps too few digits, below it a float is 0,
+            # and past the float range there is none
+            (Fraction(123456, 10**325), "1.23456e-320"),
+            (Fraction(1, 10**400), "1e-400"),
+            (Fraction(-1, 10**400), "-1e-400"),
+            (Fraction(-(10**400)), "-1e+400"),
+            # in the float range the float's own digits
+            (Fraction(0), "0"),
+            (Fraction(1, 3), "0.333333"),
+            (Fraction(-7, 2), "-3.5"),
+            (Fraction(123456789), "1.23457e+08"),
+            (Fraction(22250738585072014, 10**324), "2.22507e-308"),
+        ],
+    )
+    def test_approx_rounds_exactly_past_the_normal_floats(self, x, text):
+        assert cli._approx(x) == text
+
     def test_json_values_are_exact_rationals(self, capsys):
         code, out, _ = run(capsys, "solve", "fixture:EX5", "--disagreement", "uniform")
         assert code == 0
@@ -437,9 +457,9 @@ class TestEmptyCore:
         assert errors["shapley"] is errors["nash"] is None
 
     @pytest.mark.parametrize("fixture", ["fixture:EX1(delta=1/10)", "fixture:EMPTY_CORE"])
-    def test_compare_solves_the_core_lp_once(self, capsys, monkeypatch, fixture):
-        # only the nucleolus-ws guard solves the WS-core feasibility LP, the
-        # one LP over nonnegative variables; lexmax decides emptiness itself
+    def test_compare_solves_no_core_lp(self, capsys, monkeypatch, fixture):
+        # the WS-core feasibility LP is the one LP over nonnegative variables;
+        # lexmax and nucleolus-ws decide emptiness from their own answers
         core_lps = []
         solve = core.simplex_solve
 
@@ -451,7 +471,7 @@ class TestEmptyCore:
         monkeypatch.setattr(core, "simplex_solve", counting_solve)
         code, _, _ = run(capsys, "compare", fixture, "--output", "json")
         assert code == 0
-        assert len(core_lps) == 1
+        assert core_lps == []
 
 
 class TestCheck:

@@ -107,9 +107,30 @@ class TestParetoFront:
                         want.extend(exact_blocks_reference(m, agents, items))
                     assert find_components_matching(m).blocks == tuple(sorted(want)), m.values
 
+    def test_tie_free_blocks_match_reference(self, monkeypatch):
+        # strict rows: the support of the Random Priority count table, with
+        # no Pareto scan
+        def unreachable(vectors):
+            raise AssertionError("a tie-free block was scanned")
+
+        monkeypatch.setattr(decompose, "_pareto_front", unreachable)
+        rng = random.Random(612)
+        cases = [random_matching(rng, n, distinct=True) for n in range(1, 8) for _ in range(3)]
+        for sizes in ([1], [2], [3], [4], [5], [6], [2, 3], [3, 4], [1, 2, 4], [2, 2, 2]):
+            cases.append(planted_block_matching(rng, sizes)[0])
+        block_sizes = set()
+        for m in cases:
+            want = []
+            for agents, items in decompose._sufficient_partition(m).blocks:
+                want.extend(exact_blocks_reference(m, agents, items))
+            assert find_components_matching(m).blocks == tuple(sorted(want)), m.values
+            block_sizes.update(len(agents) for agents, _ in want)
+        assert block_sizes == set(range(1, 8))
+
     def test_one_block_stops_early(self, monkeypatch):
-        # identical strict rows: every assignment is Pareto-optimal, so the
-        # whole front is 7! vectors; the scan stops once the block is joined
+        # identical rows with one tie, which keeps the block on the scan:
+        # every assignment is Pareto-optimal, so the whole front is 7!
+        # vectors; the scan stops once the block is joined
         seen = []
         scan = decompose._pareto_front
 
@@ -119,7 +140,7 @@ class TestParetoFront:
                 yield idx
 
         monkeypatch.setattr(decompose, "_pareto_front", counted)
-        part = find_components_matching(square([tuple(range(7, 0, -1))] * 7))
+        part = find_components_matching(square([(7, 7, 5, 4, 3, 2, 1)] * 7))
         assert part.blocks == ((tuple(range(7)), tuple(range(7))),)
         assert part.certificate == "exact"
         assert 0 < len(seen) < 5040

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 from conftest import random_matching
 
+from welfareshare import disagreement
 from welfareshare.disagreement import (
     _has_row_ties,
     _lex_perfect_matching,
@@ -157,12 +158,6 @@ class TestTierTable:
     def test_rp_exact_matches_reference(self):
         for m in reference_instances(211):
             assert rp_exact(m).utilities == expected(m, rp_probabilities_reference(m)), m.values
-        rng = random.Random(212)
-        for n in range(1, 7):
-            m = random_matching(rng, n, distinct=True, n_items=n + n % 2)
-            # the tie-free recursion
-            assert not _has_row_ties(m.values)
-            assert rp_exact(m).utilities == expected(m, rp_probabilities_reference(m))
 
     def test_rp_allocation_matches_reference(self):
         for m in reference_instances(213, extra=(0,)):
@@ -181,6 +176,45 @@ class TestTierTable:
                     got = rp_montecarlo(m, samples=300, seed=seed).utilities
                     assert got == rp_montecarlo_reference(m, 300, seed), (m.values, seed)
         assert branches == {False, True}
+
+
+def tie_free_instances(seed, extra):
+    """Seeded instances with distinct values in every row, n <= 7: random
+    quarters, and rows that share one strict order of the items."""
+    rng = random.Random(seed)
+    for n in range(1, 8):
+        for k in (n + more for more in extra):
+            yield random_matching(rng, n, distinct=True, n_items=k)
+            ranks = rng.sample(range(1, k + 1), k)
+            steps = [Fraction(rng.randint(1, 3), 4) for _ in range(n)]
+            yield MatchingInstance(tuple(range(k)), tuple(tuple(s * r for r in ranks) for s in steps))
+
+
+class TestCountTable:
+    """Without row ties `_rp_counts` walks (agents left, items left) states;
+    the n! orders of the reference pass are the reference."""
+
+    def test_tie_free_matches_reference(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a tie-free instance walked the serial orders")
+
+        monkeypatch.setattr(disagreement, "_serial_assignment", unreachable)
+        for m in tie_free_instances(215, extra=(0,)):
+            assert not _has_row_ties(m.values)
+            x, d = rp_allocation(m)
+            assert x == rp_probabilities_reference(m), m.values
+            assert rp_exact(m).utilities == d.utilities == expected(m, x)
+        for m in tie_free_instances(216, extra=(1, 2)):
+            assert rp_exact(m).utilities == expected(m, rp_probabilities_reference(m)), m.values
+
+    def test_ten_agents_doubly_stochastic(self):
+        rng = random.Random(217)
+        m = random_matching(rng, 10, distinct=True)
+        x, d = rp_allocation(m)
+        assert all(0 <= p <= 1 for row in x for p in row)
+        assert all(sum(row) == 1 for row in x)
+        assert all(sum(x[i][j] for i in range(10)) == 1 for j in range(10))
+        assert d.utilities == expected(m, x)
 
 
 class TestUniform:

@@ -6,9 +6,9 @@ from itertools import permutations
 
 import pytest
 
-from conftest import random_matching
+from conftest import random_general, random_matching
 
-from welfareshare.core import check_anticore, check_domination
+from welfareshare.core import EmptyCoreError, check_anticore, check_domination, ws_core_nonempty
 from welfareshare.disagreement import rp_exact
 from welfareshare.model import (
     DisagreementPoint,
@@ -29,7 +29,7 @@ from welfareshare.rivals import (
     run_mechanism,
     shapley,
 )
-from welfareshare.welfare import SetFunctionOracle, wmax, dual
+from welfareshare.welfare import SetFunctionOracle, dual, is_submodular, wmax
 
 
 def F(x):
@@ -237,6 +237,35 @@ class TestNucleolus:
                 agents = [i for i in range(n) if mask & (1 << i)]
                 g = max(dual(o, agents), d.total(agents))
                 assert sum(u[i] for i in agents) >= g
+
+    def test_empty_exactly_when_the_core_lp_says(self):
+        # no guard LP: the nucleolus is outside the WS-core exactly when the
+        # core is empty, and `ws_core_nonempty` is the reference verdict
+        rng = random.Random(507)
+        verdicts, kinds = [], set()
+        for _ in range(150):
+            n = rng.choice([1, 2, 3, 3, 4, 4, 5])
+            lo, hi = rng.choice([(-3, 3), (-10, 10)])
+            if rng.random() < 0.5:
+                inst = random_general(rng, n, rng.randint(1, 4), lo, hi)
+                kinds.add(bool(is_submodular(SetFunctionOracle(inst))))
+            else:
+                inst = random_matching(rng, n, lo, hi)
+            o = SetFunctionOracle(inst)
+            d = DisagreementPoint(
+                tuple(rng.choice([o.wmax_mask(1 << i), F(rng.randint(lo, hi))]) for i in range(n)),
+                "explicit",
+            )
+            verdict = ws_core_nonempty(o, d)
+            verdicts.append(bool(verdict))
+            if verdict:
+                u = nucleolus_ws(o, d).utilities
+                assert check_domination(u, d) and check_anticore(o, u)
+            else:
+                with pytest.raises(EmptyCoreError, match="^WS-core is empty$"):
+                    nucleolus_ws(o, d)
+        assert kinds == {False, True}
+        assert 30 <= verdicts.count(False) <= len(verdicts) - 30
 
 
 class TestDispatch:
