@@ -114,6 +114,8 @@ def resolve_disagreement(inst, args, embedded):
         if not isinstance(mode, (str, type(None))):
             raise ParseError(f"embedded disagreement mode must be a string, not {mode!r}")
         if "utilities" in embedded:
+            if mode != "explicit":
+                raise ParseError('embedded disagreement utilities need "mode": "explicit"')
             try:
                 explicit = [parse_rational(u) for u in embedded["utilities"]]
             except (TypeError, ValueError) as exc:

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from .disagreement import _has_row_ties, _rp_counts
+from .disagreement import _serial_walk, _value_tiers
 from .model import BoundExceededError, DisagreementPoint, Instance, MatchingInstance, Solution
 from .welfare import SetFunctionOracle
 
@@ -137,52 +137,31 @@ def _sufficient_partition(m: MatchingInstance) -> ComponentPartition:
     return ComponentPartition(blocks=tuple(blocks), certificate="sufficient")
 
 
-def _pareto_front(vectors: List[Tuple]) -> Iterator[int]:
-    """Yield the indices of the Pareto-optimal vectors (duplicates all kept),
-    in descending order of coordinate sum.
+def _pareto_front(vectors: List[Tuple]) -> List[Tuple]:
+    """The distinct Pareto-optimal vectors, in descending order of sum.
 
     A vector can only be dominated by one with a larger sum, so each is
-    checked against the front found so far, which never loses a member, and
-    a caller may stop as soon as it has seen enough.
+    checked against the front found so far, which never loses a member.
     """
-    at: Dict[Tuple, List[int]] = {}
-    for idx, v in enumerate(vectors):
-        at.setdefault(v, []).append(idx)
     front: List[Tuple] = []
-    for v in sorted(at, key=sum, reverse=True):
+    for v in sorted(set(vectors), key=sum, reverse=True):
         if not any(all(x >= y for x, y in zip(f, v)) for f in front):
             front.append(v)
-            yield from at[v]
+    return front
 
 
 def _exact_matching_blocks(m: MatchingInstance, agents, items):
-    """Components of one sub-block: the groups its Pareto-optimal assignments
-    join.  With strict rows these are the serial-dictatorship outcomes
-    (Abdulkadiroglu & Sonmez 1998), so their edges are the support of the
-    Random Priority count table; with ties the k! assignments are scanned."""
+    """Components of one sub-block: each agent joins every item she wants in
+    a group `_serial_walk` yields, an edge of some matching of that group by
+    Hall's theorem (with strict rows, Abdulkadiroglu & Sonmez 1998)."""
     k = len(agents)
-    block = m.restrict(agents, items)
     uf = _UnionFind(2 * k)
-    if not _has_row_ties(block.values):
-        for pos, row in enumerate(_rp_counts(block)):
-            for col, count in enumerate(row):
-                if count:
+    tiers = _value_tiers(m.restrict(agents, items).values, k)
+    for group, wanted, _orders in _serial_walk(tiers, k):
+        for pos, mask in zip(group, wanted):
+            for col in range(k):
+                if mask >> col & 1:
                     uf.union(pos, k + col)
-    else:
-        assigns = list(permutations(range(k)))
-        # dominance compares each agent's values only, so her value's rank
-        # among the block's items stands in for the Fraction
-        ranks = []
-        for row in block.values:
-            distinct = sorted(set(row))
-            ranks.append([distinct.index(v) for v in row])
-        vectors = [tuple(ranks[pos][col] for pos, col in enumerate(perm)) for perm in assigns]
-        merges = 0
-        for idx in _pareto_front(vectors):
-            for pos, col in enumerate(assigns[idx]):
-                merges += uf.union(pos, k + col)
-            if merges == 2 * k - 1:
-                break  # one block, which no further assignment can split
     groups = {}
     for pos in range(k):
         groups.setdefault(uf.find(pos), [set(), set()])[0].add(agents[pos])
@@ -191,9 +170,9 @@ def _exact_matching_blocks(m: MatchingInstance, agents, items):
     return [(tuple(sorted(a)), tuple(sorted(it))) for a, it in groups.values()]
 
 
-# a block with ties lists its k! assignments, at most 8! = 40,320; a larger
-# matching keeps the sufficient partition.  README gives the time at 8 agents
-MAX_EXACT_COMPONENT_AGENTS = 8
+# each block walks the serial-dictatorship states of its agents; a larger
+# matching keeps the sufficient partition.  README gives the time at 10 agents
+MAX_EXACT_COMPONENT_AGENTS = 10
 
 
 def find_components_matching(m: MatchingInstance) -> ComponentPartition:
@@ -218,13 +197,16 @@ class ComponentVerdict:
         return self.ok
 
 
+MAX_VERIFY_ASSIGNMENTS = math.factorial(8)
+
+
 def _as_general(inst) -> Instance:
     """View a matching instance as a general one, an alternative per
     assignment of the n agents to distinct items: m!/(m-n)! of them, at
-    most the exact path's 8!."""
+    most `MAX_VERIFY_ASSIGNMENTS` = 8!, which `verify_component` lists."""
     if isinstance(inst, Instance):
         return inst
-    if math.perm(inst.n_items, inst.n_agents) > math.factorial(MAX_EXACT_COMPONENT_AGENTS):
+    if math.perm(inst.n_items, inst.n_agents) > MAX_VERIFY_ASSIGNMENTS:
         raise BoundExceededError("assignment enumeration bound exceeded")
     assigns = list(permutations(range(inst.n_items), inst.n_agents))
     return Instance(
@@ -256,8 +238,8 @@ def verify_component(inst, S: Sequence[int]) -> ComponentVerdict:
     n_alts = inst.n_alternatives
     vec_in = [tuple(inst.values[i][a] for i in inside) for a in range(n_alts)]
     vec_out = [tuple(inst.values[i][a] for i in outside) for a in range(n_alts)]
-    po_in = sorted({vec_in[a] for a in _pareto_front(vec_in)})
-    po_out = sorted({vec_out[a] for a in _pareto_front(vec_out)})
+    po_in = sorted(_pareto_front(vec_in))
+    po_out = sorted(_pareto_front(vec_out))
     realized = {(vec_in[a], vec_out[a]) for a in range(n_alts)}
     for va in po_in:
         for vb in po_out:

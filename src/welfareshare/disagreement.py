@@ -15,7 +15,9 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, permutations
+from operator import or_
 from typing import Dict, List, Sequence, Tuple
 
 from .model import BoundExceededError, DisagreementPoint, Instance, MatchingInstance
@@ -95,6 +97,16 @@ def _preference_lists(tiers) -> List[List[int]]:
     return [[j for tier in agent_tiers for j in sorted(tier)] for agent_tiers in tiers]
 
 
+def _tight_group(wants, size) -> Tuple[int, ...]:
+    """First smallest combination of held agents wanting at most its size in items, else ()."""
+    agents = sorted(wants)
+    for k in range(1, len(agents) + 1):
+        for combo in combinations(agents, k):
+            if size(reduce(or_, (wants[a] for a in combo))) <= k:
+                return combo
+    return ()
+
+
 def _serial_assignment(tiers, order: Sequence[int], m: int) -> List[int]:
     """One serial-dictatorship pass over `_value_tiers`; returns item index
     per agent."""
@@ -117,21 +129,11 @@ def _serial_assignment(tiers, order: Sequence[int], m: int) -> List[int]:
             held[a] = desired_of(a)
 
     def release_tight():
-        progress = True
-        while progress and held:
-            progress = False
-            agents = sorted(held)
-            for k in range(1, len(agents) + 1):
-                hit = None
-                for combo in combinations(agents, k):
-                    union = frozenset().union(*(held[a] for a in combo))
-                    if len(union) <= k:
-                        hit = combo
-                        break
-                if hit is not None:
-                    assign(_lex_perfect_matching(hit, held))
-                    progress = True
-                    break
+        while held:
+            group = _tight_group(held, len)
+            if not group:
+                break
+            assign(_lex_perfect_matching(group, held))
 
     for i in order:
         if held:
@@ -147,15 +149,49 @@ def _serial_assignment(tiers, order: Sequence[int], m: int) -> List[int]:
     return assignment
 
 
-def _rp_counts(m: MatchingInstance) -> List[List[int]]:
-    """counts[i][j] = number of the n! serial orders that give agent i item j.
+def _serial_walk(tiers, m: int):
+    """Serial dictatorship over every agent order with `_serial_assignment`'s
+    tie rule, each (agents not yet drawn, held agents, items left) bitmask
+    state visited once with the number of order prefixes that reach it.
+    Yields (agents, wanted item masks, number of orders) for each pick,
+    released tight group and the final holds; a group takes exactly the
+    items it wants, so the matching inside it is left to the reader."""
+    n = len(tiers)
+    masks = [[sum(1 << j for j in tier) for tier in agent_tiers] for agent_tiers in tiers]
 
-    Without row ties a pick depends only on the items left, so each (agents
-    not yet drawn, items left) state is visited once, level by level, with
-    the number of order prefixes that reach it; a pick there stands for
-    that number times (agents left - 1)! orders.  With ties every order
-    runs through `_serial_assignment`.
-    """
+    def want(a, items) -> int:
+        return next(tier & items for tier in masks[a] if tier & items)
+
+    level = {((1 << n) - 1, 0, (1 << m) - 1): 1}
+    for left in range(n, 0, -1):
+        tail = math.factorial(left - 1)
+        below: Dict[Tuple[int, int, int], int] = {}
+        for (undrawn, held, items), ways in level.items():
+            for i in (a for a in range(n) if undrawn >> a & 1):
+                wanted = want(i, items)
+                if wanted & (wanted - 1):
+                    now_held, now_items = held | 1 << i, items
+                else:
+                    yield (i,), (wanted,), ways * tail
+                    now_held, now_items = held, items & ~wanted
+                while now_held:
+                    wants = {a: want(a, now_items) for a in range(n) if now_held >> a & 1}
+                    # after the last draw the holds left go as one group
+                    group = _tight_group(wants, int.bit_count) or (tuple(wants) if left == 1 else ())
+                    if not group:
+                        break
+                    group_wants = tuple(wants[a] for a in group)
+                    yield group, group_wants, ways * tail
+                    now_held &= ~sum(1 << a for a in group)
+                    now_items &= ~reduce(or_, group_wants)
+                state = (undrawn & ~(1 << i), now_held, now_items)
+                below[state] = below.get(state, 0) + ways
+        level = below
+
+
+def _rp_counts(m: MatchingInstance) -> List[List[int]]:
+    """counts[i][j] = number of the n! serial orders that give agent i item j:
+    `_serial_walk`'s picks without row ties, `_serial_assignment` with them."""
     n, k = m.n_agents, m.n_items
     tiers = _value_tiers(m.values, k)
     counts = [[0] * k for _ in range(n)]
@@ -164,19 +200,8 @@ def _rp_counts(m: MatchingInstance) -> List[List[int]]:
             for i, j in enumerate(_serial_assignment(tiers, order, k)):
                 counts[i][j] += 1
         return counts
-    prefs = _preference_lists(tiers)
-    level = {((1 << n) - 1, (1 << k) - 1): 1}
-    for left in range(n, 0, -1):
-        tail = math.factorial(left - 1)
-        below: Dict[Tuple[int, int], int] = {}
-        for (agents, items), ways in level.items():
-            for i in range(n):
-                if agents >> i & 1:
-                    j = next(j for j in prefs[i] if items >> j & 1)
-                    counts[i][j] += ways * tail
-                    state = (agents & ~(1 << i), items & ~(1 << j))
-                    below[state] = below.get(state, 0) + ways
-        level = below
+    for (i,), (item,), orders in _serial_walk(tiers, k):
+        counts[i][item.bit_length() - 1] += orders
     return counts
 
 

@@ -372,10 +372,12 @@ def _fixture_ks4() -> MatchingInstance:
     )
 
 
-def _fixture_lip(n: int, variant: bool = False) -> Instance:
+def _fixture_lip(n: int, variant=False) -> Instance:
     if n < 3:
         raise ValueError("LIP requires n >= 3")
-    first = (F(1), F(3) if variant else F(2), F(0), F(0))
+    if variant not in (True, False, "true", "false", "1", "0"):
+        raise ValueError(f"LIP variant must be true, false, 1 or 0, not {variant!r}")
+    first = (F(1), F(3) if variant in (True, "true", "1") else F(2), F(0), F(0))
     mid = (F(1), F(0), F(6), F(0))
     last = (F(1), F(0), F(0), F(6 * n))
     values = (first,) + tuple(mid for _ in range(n - 2)) + (last,)
@@ -426,7 +428,7 @@ def fixture(name: str, **params):
         "WF_FAIL": _fixture_wf_fail,
         "EMPTY_CORE": _fixture_empty_core,
         "KS4": _fixture_ks4,
-        "LIP": lambda: _fixture_lip(int(params["n"]), bool(params.get("variant", False))),
+        "LIP": lambda: _fixture_lip(int(params["n"]), params.get("variant", False)),
         "RENT5": lambda: _fixture_rent5(parse_rational(params["eps"])),
         "RPDISC": lambda: _fixture_rpdisc(parse_rational(params["eps"])),
     }

@@ -241,6 +241,28 @@ class TestExitCodes:
         code, _, _ = run(capsys, "solve", "fixture:NOPE")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "params, first_utility",
+        [
+            ("", "1/2"),
+            (", variant=false", "1/2"),
+            (", variant=0", "1/2"),
+            (", variant=true", "3/4"),
+            (", variant=1", "3/4"),
+        ],
+    )
+    def test_lip_variant(self, capsys, params, first_utility):
+        code, out, _ = run(capsys, "solve", f"fixture:LIP(n=4{params})", "--mechanism", "shapley")
+        assert code == 0
+        assert json.loads(out)["utilities"][0] == first_utility
+
+    def test_lip_variant_not_a_flag(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "fixture:LIP(n=4, variant=maybe)", "--mechanism", "shapley"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: LIP variant must be true, false, 1 or 0, not 'maybe'\n"
+
     def test_bad_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -352,6 +374,8 @@ class TestExitCodes:
              "samples must be a positive integer, not '10'"),
             ({"mode": "rp-mc", "samples": 0}, [], "samples must be a positive integer, not 0"),
             (None, ["--disagreement", "rp-mc", "--samples", "0"], "positive integer, not 0"),
+            ({"utilities": ["1", "1"]}, [], 'utilities need "mode": "explicit"'),
+            ({"mode": "rp", "utilities": ["1", "1"]}, [], 'utilities need "mode": "explicit"'),
         ],
     )
     def test_bad_disagreement_options(self, capsys, tmp_path, disagreement, argv, message):
@@ -504,7 +528,7 @@ class TestCheck:
     )
     def test_decompose_matching_at_the_bound(self, capsys, tmp_path, n, certificate):
         # each agent keeps her own item: singleton blocks, and each exact
-        # block lists 1! assignment, so the edge costs little on both sides
+        # block walks one state, so the edge costs little on both sides
         doc = {
             "kind": "matching",
             "items": [f"item{j}" for j in range(n)],

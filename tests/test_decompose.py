@@ -1,6 +1,7 @@
 """Independent components and decomposability verdicts."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -79,10 +80,32 @@ def exact_blocks_reference(m, agents, items):
     return [(tuple(sorted(a)), tuple(sorted(it))) for a, it in groups.values()]
 
 
+def assert_blocks_match_reference(monkeypatch, cases):
+    """Exact components equal the Pareto-front reference on every case, with
+    no assignment listed and no Pareto scan; returns the block sizes seen."""
+
+    def unreachable(*args):
+        raise AssertionError("a block listed assignments or scanned a Pareto front")
+
+    monkeypatch.setattr(decompose, "_pareto_front", unreachable)
+    monkeypatch.setattr(decompose, "permutations", unreachable)
+    block_sizes = set()
+    for m in cases:
+        want = []
+        for agents, items in decompose._sufficient_partition(m).blocks:
+            want.extend(exact_blocks_reference(m, agents, items))
+        assert find_components_matching(m).blocks == tuple(sorted(want)), m.values
+        block_sizes.update(len(agents) for agents, _ in want)
+    return block_sizes
+
+
+PLANTED_SIZES = ([1], [2], [3], [4], [5], [6], [2, 3], [3, 4], [1, 2, 4], [2, 2, 2])
+
+
 class TestParetoFront:
     def test_matches_reference(self):
         rng = random.Random(610)
-        assert list(decompose._pareto_front([])) == pareto_front_reference([]) == []
+        assert decompose._pareto_front([]) == pareto_front_reference([]) == []
         for length in range(1, 7):
             for _ in range(40):
                 # a small pool makes duplicates, a small value range ties
@@ -91,59 +114,58 @@ class TestParetoFront:
                     for _ in range(rng.randint(1, 12))
                 ]
                 vectors = [rng.choice(pool) for _ in range(rng.randint(1, 40))]
-                got = list(decompose._pareto_front(vectors))
-                assert sorted(got) == pareto_front_reference(vectors), vectors
-                sums = [sum(vectors[idx]) for idx in got]
+                got = decompose._pareto_front(vectors)
+                assert len(got) == len(set(got))
+                assert set(got) == {vectors[idx] for idx in pareto_front_reference(vectors)}, vectors
+                sums = [sum(v) for v in got]
                 assert sums == sorted(sums, reverse=True)
 
-    def test_exact_blocks_match_reference(self):
+    def test_exact_blocks_match_reference(self, monkeypatch):
+        # rows with ties: the walk holds agents and releases tight groups
         rng = random.Random(611)
-        for lo, hi in ((-1, 1), (-3, 3), (-10, 10)):
-            for n in range(1, 7):
-                for _ in range(3):
-                    m = random_matching(rng, n, lo, hi)
-                    want = []
-                    for agents, items in decompose._sufficient_partition(m).blocks:
-                        want.extend(exact_blocks_reference(m, agents, items))
-                    assert find_components_matching(m).blocks == tuple(sorted(want)), m.values
+        cases = [
+            random_matching(rng, n, lo, hi)
+            for lo, hi in ((-1, 1), (-3, 3), (-10, 10))
+            for n in range(1, 8)
+            for _ in range(3)
+        ]
+        for sizes in PLANTED_SIZES:
+            inst, blocks = planted_block_matching(rng, sizes)
+            # one row ties two of its block's items
+            values = [list(row) for row in inst.values]
+            agents, items = blocks[0]
+            values[agents[0]][items[-1]] = values[agents[0]][items[0]]
+            cases.append(MatchingInstance(inst.item_ids, tuple(map(tuple, values))))
+        assert assert_blocks_match_reference(monkeypatch, cases) == set(range(1, 8))
 
     def test_tie_free_blocks_match_reference(self, monkeypatch):
-        # strict rows: the support of the Random Priority count table, with
-        # no Pareto scan
-        def unreachable(vectors):
-            raise AssertionError("a tie-free block was scanned")
-
-        monkeypatch.setattr(decompose, "_pareto_front", unreachable)
+        # strict rows: the walk picks and never holds
         rng = random.Random(612)
         cases = [random_matching(rng, n, distinct=True) for n in range(1, 8) for _ in range(3)]
-        for sizes in ([1], [2], [3], [4], [5], [6], [2, 3], [3, 4], [1, 2, 4], [2, 2, 2]):
-            cases.append(planted_block_matching(rng, sizes)[0])
-        block_sizes = set()
-        for m in cases:
-            want = []
-            for agents, items in decompose._sufficient_partition(m).blocks:
-                want.extend(exact_blocks_reference(m, agents, items))
-            assert find_components_matching(m).blocks == tuple(sorted(want)), m.values
-            block_sizes.update(len(agents) for agents, _ in want)
-        assert block_sizes == set(range(1, 8))
+        cases += [planted_block_matching(rng, sizes)[0] for sizes in PLANTED_SIZES]
+        assert assert_blocks_match_reference(monkeypatch, cases) == set(range(1, 8))
 
-    def test_one_block_stops_early(self, monkeypatch):
-        # identical rows with one tie, which keeps the block on the scan:
-        # every assignment is Pareto-optimal, so the whole front is 7!
-        # vectors; the scan stops once the block is joined
-        seen = []
-        scan = decompose._pareto_front
+    def test_one_block_from_the_walk(self, monkeypatch):
+        # identical rows: every assignment is Pareto-optimal, so a scan
+        # would list all k! of them; the walk visits each state once and
+        # still accounts for every agent in every order
+        events = []
+        walk = decompose._serial_walk
 
-        def counted(vectors):
-            for idx in scan(vectors):
-                seen.append(idx)
-                yield idx
+        def counted(*args):
+            for event in walk(*args):
+                events.append(event)
+                yield event
 
-        monkeypatch.setattr(decompose, "_pareto_front", counted)
-        part = find_components_matching(square([(7, 7, 5, 4, 3, 2, 1)] * 7))
-        assert part.blocks == ((tuple(range(7)), tuple(range(7))),)
-        assert part.certificate == "exact"
-        assert 0 < len(seen) < 5040
+        monkeypatch.setattr(decompose, "_serial_walk", counted)
+        for row in ((7, 7, 5, 4, 3, 2, 1), (8, 7, 6, 5, 4, 3, 1, 1)):
+            k = len(row)
+            events.clear()
+            part = find_components_matching(square([row] * k))
+            assert part.blocks == ((tuple(range(k)), tuple(range(k))),)
+            assert part.certificate == "exact"
+            assert sum(orders * len(group) for group, _, orders in events) == k * math.factorial(k)
+            assert len(events) < math.factorial(k)
 
 
 class TestFindComponentsMatching:
@@ -207,7 +229,7 @@ class TestVerifyComponent:
 
 
     def test_assignments_at_the_bound(self):
-        # 2 x 201 has 40,200 assignments, within the exact path's 8! = 40,320
+        # 2 x 201 has 40,200 assignments, within 8! = 40,320
         m = MatchingInstance(tuple(range(201)), (tuple(range(201)),) * 2)
         assert decompose._as_general(m).n_alternatives == 201 * 200
 

@@ -11,7 +11,9 @@ from welfareshare import disagreement
 from welfareshare.disagreement import (
     _has_row_ties,
     _lex_perfect_matching,
+    _rp_counts,
     _serial_assignment,
+    _serial_walk,
     _value_tiers,
     eating,
     rp_allocation,
@@ -206,6 +208,24 @@ class TestCountTable:
             assert rp_exact(m).utilities == d.utilities == expected(m, x)
         for m in tie_free_instances(216, extra=(1, 2)):
             assert rp_exact(m).utilities == expected(m, rp_probabilities_reference(m)), m.values
+
+    def test_walk_with_lex_matching_matches_tied_counts(self):
+        # with ties `_rp_counts` walks the n! orders; the state walk, with
+        # `_lex_perfect_matching` inside each released group and the final
+        # holds, gives the same table
+        tied = 0
+        for m in reference_instances(218, max_n=7):
+            if not _has_row_ties(m.values):
+                continue
+            tied += 1
+            k = m.n_items
+            counts = [[0] * k for _ in range(m.n_agents)]
+            for group, wanted, orders in _serial_walk(_value_tiers(m.values, k), k):
+                desired = {a: frozenset(j for j in range(k) if w >> j & 1) for a, w in zip(group, wanted)}
+                for a, j in _lex_perfect_matching(group, desired).items():
+                    counts[a][j] += orders
+            assert counts == _rp_counts(m), m.values
+        assert tied > 40
 
     def test_ten_agents_doubly_stochastic(self):
         rng = random.Random(217)

@@ -58,7 +58,8 @@ BOUNDS = {
     "welfare.MAX_SUBMODULAR_AGENTS": 14,
     "disagreement.MAX_RP_EXACT_AGENTS": 10,
     "rivals.MAX_SHAPLEY_AGENTS": 14,
-    "decompose.MAX_EXACT_COMPONENT_AGENTS": 8,
+    "decompose.MAX_EXACT_COMPONENT_AGENTS": 10,
+    "decompose.MAX_VERIFY_ASSIGNMENTS": 40320,
     "decompose.MAX_GENERAL_COMPONENT_AGENTS": 6,
 }
 
