@@ -18,7 +18,6 @@ from .core import EmptyCoreError, check_anticore, ws_core_nonempty
 from .egalitarian import WaterFillingTrace, solve_lexmax, water_filling
 from .model import (
     BoundExceededError,
-    DisagreementPoint,
     Instance,
     MatchingInstance,
     apply_rent_shift,
@@ -74,22 +73,29 @@ def load_instance(spec: str):
     return parse_instance_doc(doc)
 
 
+def _array(value, what):
+    """value itself if it is a JSON array; a string would read as its characters."""
+    if not isinstance(value, list):
+        raise ParseError(f"{what} must be a JSON array")
+    return value
+
+
 def parse_instance_doc(doc):
     try:
         kind = doc["kind"]
-        values = doc["values"]
-        agents = doc.get("agents") or ()
+        values = [_array(row, "each row of values") for row in _array(doc["values"], "values")]
+        agents = _array(doc["agents"], "agents") if "agents" in doc else ()
         embedded = doc.get("disagreement")
         if kind == "matching":
             inst = MatchingInstance(
-                item_ids=tuple(doc["items"]),
+                item_ids=tuple(_array(doc["items"], "items")),
                 values=values,
                 agent_ids=tuple(agents),
                 rent=parse_rational(doc["rent"]) if "rent" in doc else None,
             )
         elif kind == "general":
             inst = Instance(
-                alternative_ids=tuple(doc["alternatives"]),
+                alternative_ids=tuple(_array(doc["alternatives"], "alternatives")),
                 values=values,
                 agent_ids=tuple(agents),
             )
@@ -117,7 +123,7 @@ def resolve_disagreement(inst, args, embedded):
             if mode != "explicit":
                 raise ParseError('embedded disagreement utilities need "mode": "explicit"')
             try:
-                explicit = [parse_rational(u) for u in embedded["utilities"]]
+                explicit = [parse_rational(u) for u in _array(embedded["utilities"], "utilities")]
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"bad embedded disagreement: {exc}") from exc
         if args.seed is None:
@@ -137,7 +143,7 @@ def resolve_disagreement(inst, args, embedded):
             try:
                 with open(path) as fh:
                     doc = json.load(fh)
-                explicit = [parse_rational(u) for u in doc["utilities"]]
+                explicit = [parse_rational(u) for u in _array(doc["utilities"], "utilities")]
             except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"bad disagreement file: {exc}") from exc
         mode = "explicit"
@@ -286,7 +292,7 @@ def cmd_check(args) -> int:
         try:
             with open(args.anticore) as fh:
                 doc = json.load(fh)
-            u = [parse_rational(x) for x in doc["utilities"]]
+            u = [parse_rational(x) for x in _array(doc["utilities"], "utilities")]
         except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad solution file: {exc}") from exc
         if len(u) != inst.n_agents:

@@ -258,21 +258,21 @@ def lexicographic_maxmin(n_vars, constraints, exprs):
     `lexmax_lp` and the per-item transfers in `ef_maxmin`.
 
     Each round maximizes the common floor t of the unfixed expressions and
-    fixes at its optimum t* every expression that cannot rise above t* on
-    the level set {all unfixed >= t*}.  Exact rules spare most of the probe
-    LPs that would decide this one expression at a time:
-    - binding: an expression whose floor row is tight at every optimum of
-      the round's LP (`LPResult.binding`) is fixed without a probe.
-    - probe points: an expression above t* at the round's point, or at the
-      point of a probe that lifted another expression, can rise.
+    fixes expressions that cannot rise above its optimum t* on the level set
+    {all unfixed >= t*}, by two exact rules:
+    - binding: an expression whose floor row has a positive dual, so is
+      tight at every optimum of the round's LP (`LPResult.binding`), is
+      fixed at t*.  t is free, so the floor duals sum to 1 and every round
+      fixes at least one expression.
     - span: an echelon span holds the equality constraints and the fixed
-      rows; a round adds each row it fixes, binding ones first.  An
-      expression whose row lies in the span is constant on the level set:
-      a tight one is fixed at t* with no probe, and after the round one
-      above t* is fixed at its value, with no round of its own.
-    Any other tight expression takes a probe.  The last round's point meets
-    every fixed row and is returned; with no expressions, one LP over the
-    constraints gives the point.
+      rows.  After the round, an unfixed expression whose row lies in the
+      span is constant on the level set, so it is fixed at its value at
+      the round's point.
+    A tight expression whose dual is 0 stays unfixed; a later round fixes
+    it at the same level.  This is the sequential LP scheme of Maschler,
+    Peleg & Shapley (1979).  The last round's point meets every fixed row
+    and is returned; with no expressions, one LP over the constraints gives
+    the point.
     """
     constraints = [
         ([Fraction(v) for v in row], rel, Fraction(rhs)) for row, rel, rhs in constraints
@@ -300,31 +300,11 @@ def lexicographic_maxmin(n_vars, constraints, exprs):
             raise InfeasibleError("lexicographic program unbounded")
         t_star = res.value
         point = res.point[:n_vars]
-        floor_rows = [(exprs[k][0], GE, t_star - exprs[k][1]) for k in unfixed]
-        newly = {unfixed[r - len(base)] for r in res.binding if r >= len(base)}
-        for k in newly:
-            _extend_span(span, exprs[k][0])
-        risen = {k for k in unfixed if _expr_value(exprs[k], point) != t_star}
-        for k in unfixed:
-            if k in newly or k in risen:
-                continue
-            coeffs, const = exprs[k]
-            if not any(_reduce(span, coeffs)):
-                newly.add(k)
-                continue
-            probe = simplex_solve(LinearProgram(n_vars, coeffs, base + floor_rows))
-            if probe.status != "optimal":
-                continue
-            if probe.value + const == t_star:
-                newly.add(k)
-                _extend_span(span, coeffs)
-            else:
-                risen.update(
-                    j for j in unfixed if _expr_value(exprs[j], probe.point) > t_star
-                )
+        newly = [unfixed[r - len(base)] for r in res.binding if r >= len(base)]
         if not newly:
             raise AssertionError("lexicographic max-min made no progress")
-        for k in sorted(newly):
+        for k in newly:
+            _extend_span(span, exprs[k][0])
             fixed_rows.append((exprs[k][0], EQ, t_star - exprs[k][1]))
             levels[k] = t_star
         # the round's point meets every fixed row, so it gives the value of

@@ -16,7 +16,7 @@ from itertools import permutations
 from typing import List, Optional, Sequence, Tuple
 
 from .disagreement import _serial_walk, _value_tiers
-from .model import BoundExceededError, DisagreementPoint, Instance, MatchingInstance, Solution
+from .model import BoundExceededError, Instance, MatchingInstance, Solution
 from .welfare import SetFunctionOracle
 
 

@@ -27,15 +27,16 @@ def parse_rational(text: Union[str, int, Fraction]) -> Fraction:
 
     Decimal strings are converted with a base-10 denominator, so "0.1"
     becomes exactly 1/10.  Floats are rejected: binary floats silently
-    contaminate exact pipelines.  A zero denominator, more than MAX_DIGITS
-    digits or an exponent beyond MAX_EXPONENT raise ValueError.
+    contaminate exact pipelines, and bools (JSON true) are not numbers.  A
+    zero denominator, more than MAX_DIGITS digits or an exponent beyond
+    MAX_EXPONENT raise ValueError.
     """
     if isinstance(text, Fraction):
         return text
+    if isinstance(text, (bool, float)):
+        raise TypeError(f"refusing {type(text).__name__} input; pass a string or int")
     if isinstance(text, int):
         return Fraction(text)
-    if isinstance(text, float):
-        raise TypeError("refusing float input; pass a string or int")
     text = str(text).strip()
     if sum(c.isdigit() for c in text) > MAX_DIGITS:
         raise ValueError(f"rational with more than {MAX_DIGITS} digits")
@@ -434,4 +435,9 @@ def fixture(name: str, **params):
     }
     if name not in builders:
         raise KeyError(f"unknown fixture {name!r}")
+    takes = {"EX1": ("delta",), "TWO": ("delta",), "LIP": ("n", "variant"),
+             "RENT5": ("eps",), "RPDISC": ("eps",)}
+    for key in params:
+        if key not in takes.get(name, ()):
+            raise ValueError(f"fixture {name} takes no parameter {key!r}")
     return builders[name]()

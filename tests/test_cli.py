@@ -263,6 +263,15 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "error: LIP variant must be true, false, 1 or 0, not 'maybe'\n"
 
+    @pytest.mark.parametrize(
+        "spec, key",
+        [("fixture:EX2(delta=1)", "delta"), ("fixture:EX1(delta=1/10, foo=1)", "foo")],
+    )
+    def test_unknown_fixture_parameter(self, capsys, spec, key):
+        code, out, err = run(capsys, "solve", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: fixture {spec[8:11]} takes no parameter '{key}'\n"
+
     def test_bad_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -318,6 +327,70 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "float" in err
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            ("values", "values must be a JSON array"),
+            ("row", "each row of values must be a JSON array"),
+            ("items", "items must be a JSON array"),
+            ("alternatives", "alternatives must be a JSON array"),
+            ("agents", "agents must be a JSON array"),
+            ("null agents", "agents must be a JSON array"),
+            ("embedded", "bad embedded disagreement: utilities must be a JSON array"),
+            ("file", "bad disagreement file: utilities must be a JSON array"),
+            ("anticore", "bad solution file: utilities must be a JSON array"),
+        ],
+    )
+    def test_string_where_an_array_belongs(self, capsys, tmp_path, where, message):
+        # a JSON string is a sequence in Python: "12" would read as (1, 2)
+        doc, argv = dict(EX_MATCHING), ["solve"]
+        if where == "values":
+            doc["values"] = "3113"
+        elif where == "row":
+            doc = {"kind": "matching", "items": "ab", "values": ["12", "34"]}
+        elif where == "items":
+            doc["items"] = "ac"
+        elif where == "alternatives":
+            doc = {"kind": "general", "alternatives": "ab", "values": [["1", "0"]]}
+        elif where in ("agents", "null agents"):
+            doc["agents"] = "ab" if where == "agents" else None
+        elif where == "embedded":
+            doc["disagreement"] = {"mode": "explicit", "utilities": "12"}
+        else:
+            dfile = tmp_path / "d.json"
+            dfile.write_text(json.dumps({"utilities": "12"}))
+            if where == "file":
+                argv += ["--disagreement", f"explicit={dfile}"]
+            else:
+                argv = ["check", "--anticore", str(dfile)]
+        path = write_instance(tmp_path / "inst.json", doc)
+        code, out, err = run(capsys, *argv, path)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("where", ["values", "rent", "embedded", "file", "anticore"])
+    def test_bool_where_a_number_belongs(self, capsys, tmp_path, where):
+        # JSON true is a Python bool, an int subclass: it must not read as 1
+        doc, argv = dict(EX_MATCHING), ["solve"]
+        if where == "values":
+            doc["values"] = [[True, "1"], ["1", "3"]]
+        elif where == "rent":
+            doc["rent"] = True
+        elif where == "embedded":
+            doc["disagreement"] = {"mode": "explicit", "utilities": [True, "0"]}
+        else:
+            dfile = tmp_path / "d.json"
+            dfile.write_text(json.dumps({"utilities": [True, "0"]}))
+            if where == "file":
+                argv += ["--disagreement", f"explicit={dfile}"]
+            else:
+                argv = ["check", "--anticore", str(dfile)]
+        path = write_instance(tmp_path / "inst.json", doc)
+        code, out, err = run(capsys, *argv, path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "refusing bool input" in err
 
     def test_explicit_disagreement_wrong_length(self, capsys, tmp_path):
         dfile = tmp_path / "d.json"

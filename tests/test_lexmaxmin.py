@@ -1,8 +1,8 @@
 """The lexicographic max-min loop against its probe-every-expression reference.
 
 `reference_lexicographic_maxmin` is the loop as it stood before binding
-rows, probe points and the span rule: each round probes every tight
-expression with its own LP.  The library loop must give the same levels
+rows and the span rule: each round probes every tight expression with its
+own LP.  The library loop must give the same levels
 and the same point, with no more LPs, for every library caller.
 """
 
@@ -221,9 +221,10 @@ class TestSameAsReference:
 
     def test_tight_expression_fixed_by_span_in_round(self, monkeypatch):
         # x, y <= 1; expressions x, y and x + y - 1 all reach t* = 1 at (1, 1).
-        # The floor row of x + y - 1 binds; a probe finds x stuck; then y lies
-        # in the span of the two rows and is fixed in the same round without
-        # a probe: one round LP and one probe.
+        # Only the floor row of x + y - 1 binds, so x and y, tight with dual
+        # 0, stay unfixed.  The second round's floor row of x binds; then y
+        # lies in the span of the two fixed rows and is fixed after that
+        # round: two round LPs.
         rows = [([F(1), F(0)], LE, F(1)), ([F(0), F(1)], LE, F(1))]
         exprs = [([F(1), F(0)], F(0)), ([F(0), F(1)], F(0)), ([F(1), F(1)], F(-1))]
         expected = reference_lexicographic_maxmin(2, rows, exprs)
@@ -232,6 +233,65 @@ class TestSameAsReference:
             rec = Recorder(patch, core.lexicographic_maxmin)
             assert core.lexicographic_maxmin(2, rows, exprs) == expected
         assert rec.lps == 2
+
+
+    def test_tight_expression_with_zero_dual_fixed_in_later_round(self, monkeypatch):
+        # x, y <= 1; expressions x and y both reach t* = 1 at (1, 1), but the
+        # first round's LP puts the whole floor dual on x.  y is tight with
+        # dual 0 and outside the span of x's row, so it stays unfixed until
+        # the second round fixes it at the same level.
+        rows = [([F(1), F(0)], LE, F(1)), ([F(0), F(1)], LE, F(1))]
+        exprs = [([F(1), F(0)], F(0)), ([F(0), F(1)], F(0))]
+        expected = reference_lexicographic_maxmin(2, rows, exprs)
+        assert expected == ([F(1), F(1)], (F(1), F(1)))
+        solved = []
+        solve = core.simplex_solve
+
+        def recording_solve(lp):
+            res = solve(lp)
+            solved.append((lp, res))
+            return res
+
+        monkeypatch.setattr(core, "simplex_solve", recording_solve)
+        assert core.lexicographic_maxmin(2, rows, exprs) == expected
+        (first_lp, first), (second_lp, second) = solved
+        assert first.value == 1 and first.point[1] == 1  # y is tight
+        assert first.binding == (0, 2)  # x's floor row binds, y's (row 3) not
+        # the second round: both constraints, x fixed, and y's floor row
+        assert len(second_lp.constraints) == 4
+        assert second.value == 1 and 3 in second.binding
+
+    def test_every_lp_is_a_round_lp(self, monkeypatch):
+        # no probe LPs: each LP maximizes t, the one extra variable
+        shapes = []
+        loop, solve = core.lexicographic_maxmin, core.simplex_solve
+
+        def outer(n_vars, constraints, exprs):
+            def round_solve(lp):
+                shapes.append((n_vars, lp.n_vars, list(lp.objective), lp.maximize))
+                return solve(lp)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "simplex_solve", round_solve)
+                return loop(n_vars, constraints, exprs)
+
+        for module in (rivals, egalitarian):
+            monkeypatch.setattr(module, "lexicographic_maxmin", outer)
+        for m in matching_cases(7001, 24, 5):
+            o = SetFunctionOracle(m)
+            d = rp_exact(m)
+            for mechanism, args in (
+                (nucleolus_ws, (o, d)),
+                (lexmax_lp, (o, d)),
+                (ef_maxmin, (o,)),
+            ):
+                try:
+                    mechanism(*args)
+                except EmptyCoreError:
+                    pass
+        assert len(shapes) > 100
+        for n, lp_vars, objective, maximize in shapes:
+            assert (lp_vars, objective, maximize) == (n + 1, [0] * n + [1], True)
 
 
 class TestLPCount:

@@ -39,6 +39,12 @@ class TestParseRational:
         with pytest.raises((TypeError, ValueError)):
             parse_rational(0.25)
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_rejects_bools(self, flag):
+        # bool is an int subclass, so JSON true would otherwise read as 1
+        with pytest.raises(TypeError, match="bool"):
+            parse_rational(flag)
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_rational("one half")
@@ -168,3 +174,12 @@ class TestFixtures:
         with pytest.raises(KeyError):
             fixture("NOPE")
 
+
+    @pytest.mark.parametrize(
+        "name, params, key",
+        [("EX2", {"delta": 1}, "delta"), ("EX1", {"delta": "1/10", "foo": 1}, "foo"),
+         ("LIP", {"n": 4, "eps": 1}, "eps")],
+    )
+    def test_unknown_parameter(self, name, params, key):
+        with pytest.raises(ValueError, match=f"fixture {name} takes no parameter '{key}'"):
+            fixture(name, **params)

@@ -256,7 +256,7 @@ class TestSameAsReference:
 
         monkeypatch.setattr(core, "simplex_solve", checked_solve)
         rng = random.Random(15002)
-        for c in range(24):
+        for c in range(28):
             n = rng.randint(2, 5)
             lo, hi = ((-2, 2), (-10, 10), (0, 4))[c % 3]
             m = random_matching(rng, n, lo=lo, hi=hi, distinct=c % 4 == 3)

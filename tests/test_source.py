@@ -99,3 +99,28 @@ def test_no_test_only_code():
         if name not in used and name not in welfareshare.__all__
     ]
     assert stray == []
+
+
+def test_no_unused_imports():
+    # every name a library module imports is read in that module;
+    # __init__.py re-exports its imports, and __future__ imports are flags
+    unused = []
+    for path in sorted(ROOT.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported += [(node.lineno, a.asname or a.name) for a in node.names]
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unused += [
+            f"{path.relative_to(ROOT)}:{line} {name}" for line, name in imported if name not in read
+        ]
+    assert unused == []
