@@ -60,6 +60,8 @@ def load_instance(spec: str):
                 if "=" not in part:
                     raise ParseError(f"malformed fixture parameter {part!r}")
                 key, val = (s.strip() for s in part.split("=", 1))
+                if key in params:
+                    raise ParseError(f"fixture parameter {key!r} given twice")
                 params[key] = val
         try:
             return fixture(body, **params), None

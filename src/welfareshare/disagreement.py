@@ -1,12 +1,16 @@
 """Reference-point mechanisms: Uniform, Random Priority, Eating.
 
-Random Priority averages serial dictatorship over all agent orders.  Ties in
-an agent's top remaining items are handled by putting the agent on hold;
-held agents are released in minimal tight groups (a group of held agents
-whose desired items number exactly the group size), and leftover holds are
-resolved at the end of the order by a lexicographically smallest matching.
-Within any tight group each member receives an item she is indifferent
-about, so utilities do not depend on which matching is used.
+Random Priority averages serial dictatorship over all agent orders.  Its tie
+rule lives in one draw step, `_draw`: an agent whose top remaining items are
+tied is put on hold, held agents are released in minimal tight groups (a
+group of held agents whose desired items number exactly the group size),
+and after the last draw the holds left go as one group, matched by a
+lexicographically smallest matching.  Within any tight group each member
+receives an item she is indifferent about, so utilities do not depend on
+which matching is used.  Both readers of the rule fold `_draw`: the state
+walk `_serial_walk` (exact Random Priority without row ties, and component
+detection) and the per-order pass `_serial_assignment` (exact Random
+Priority with row ties, and `rp_montecarlo`).
 """
 
 from __future__ import annotations
@@ -76,114 +80,111 @@ def _lex_perfect_matching(agents: Sequence[int], desired: Dict[int, frozenset]):
     return result
 
 
-def _value_tiers(values, m: int) -> Tuple[Tuple[frozenset, ...], ...]:
-    """Per agent, her items grouped by equal value, best group first.
+def _bits(mask: int):
+    """The indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _value_tiers(values, m: int) -> Tuple[Tuple[int, ...], ...]:
+    """Per agent, item bitmasks of her items grouped by equal value, best
+    group first.
 
     Built once per Random Priority call, so no draw compares values: an
     agent's favourite remaining items are the first tier that meets the
-    items left.
+    items left (`_want`).
     """
     tiers = []
     for row in values:
-        groups: Dict[Fraction, List[int]] = {}
+        groups: Dict[Fraction, int] = {}
         for j in range(m):
-            groups.setdefault(row[j], []).append(j)
-        tiers.append(tuple(frozenset(groups[v]) for v in sorted(groups, reverse=True)))
+            groups[row[j]] = groups.get(row[j], 0) | 1 << j
+        tiers.append(tuple(groups[v] for v in sorted(groups, reverse=True)))
     return tuple(tiers)
 
 
 def _preference_lists(tiers) -> List[List[int]]:
     """Each agent's items best first, ties by item index (the tiers flattened)."""
-    return [[j for tier in agent_tiers for j in sorted(tier)] for agent_tiers in tiers]
+    return [[j for tier in agent_tiers for j in _bits(tier)] for agent_tiers in tiers]
 
 
-def _tight_group(wants, size) -> Tuple[int, ...]:
+def _want(agent_tiers, items: int) -> int:
+    """The items an agent wants: her first tier that meets the items left, cut to them."""
+    for tier in agent_tiers:
+        if tier & items:
+            return tier & items
+
+
+def _tight_group(wants) -> Tuple[int, ...]:
     """First smallest combination of held agents wanting at most its size in items, else ()."""
     agents = sorted(wants)
     for k in range(1, len(agents) + 1):
         for combo in combinations(agents, k):
-            if size(reduce(or_, (wants[a] for a in combo))) <= k:
+            if reduce(or_, (wants[a] for a in combo)).bit_count() <= k:
                 return combo
     return ()
 
 
-def _serial_assignment(tiers, order: Sequence[int], m: int) -> List[int]:
-    """One serial-dictatorship pass over `_value_tiers`; returns item index
-    per agent."""
-    remaining = set(range(m))
-    assignment: List[int] = [-1] * len(tiers)
-    held: Dict[int, frozenset] = {}
+def _draw(masks, i: int, held: int, items: int, last: bool):
+    """Agent i draws in the (held agents, items left) bitmask state: she
+    takes the one item she wants or joins the holds, then tight groups of
+    held agents are released, smallest first; after the last draw the holds
+    left go as one group.  Returns the released (agents, wanted item masks)
+    groups, her pick first, and the new held and items masks."""
+    wanted = _want(masks[i], items)
+    if wanted & (wanted - 1):
+        groups, held = [], held | 1 << i
+    else:
+        groups, items = [((i,), (wanted,))], items & ~wanted
+    while held:
+        wants = {a: _want(masks[a], items) for a in _bits(held)}
+        group = _tight_group(wants) or (tuple(wants) if last else ())
+        if not group:
+            break
+        group_wants = tuple(wants[a] for a in group)
+        groups.append((group, group_wants))
+        held &= ~sum(1 << a for a in group)
+        items &= ~reduce(or_, group_wants)
+    return groups, held, items
 
-    def desired_of(i) -> frozenset:
-        for tier in tiers[i]:
-            if not remaining.isdisjoint(tier):
-                return tier & remaining
-        raise ValueError("fewer items than agents")
 
-    def assign(match: Dict[int, int]):
-        for a, j in match.items():
-            assignment[a] = j
-            remaining.discard(j)
-            held.pop(a, None)
-        for a in held:
-            held[a] = desired_of(a)
-
-    def release_tight():
-        while held:
-            group = _tight_group(held, len)
-            if not group:
-                break
-            assign(_lex_perfect_matching(group, held))
-
+def _serial_assignment(masks, order: Sequence[int], m: int) -> List[int]:
+    """One serial-dictatorship pass over `order`, a fold of `_draw`; returns
+    the item index per agent.  A lone agent takes the lowest item she wants,
+    a larger group its `_lex_perfect_matching`."""
+    assignment: List[int] = [-1] * len(masks)
+    held, items, last = 0, (1 << m) - 1, order[-1]
     for i in order:
-        if held:
-            release_tight()
-        want = desired_of(i)
-        if len(want) == 1:
-            assign({i: next(iter(want))})
-        else:
-            held[i] = want
-    release_tight()
-    if held:
-        assign(_lex_perfect_matching(sorted(held), held))
+        groups, held, items = _draw(masks, i, held, items, i == last)
+        for agents, wanted in groups:
+            if len(agents) == 1:
+                assignment[agents[0]] = (wanted[0] & -wanted[0]).bit_length() - 1
+            else:
+                desired = {a: frozenset(_bits(w)) for a, w in zip(agents, wanted)}
+                for a, j in _lex_perfect_matching(agents, desired).items():
+                    assignment[a] = j
     return assignment
 
 
-def _serial_walk(tiers, m: int):
-    """Serial dictatorship over every agent order with `_serial_assignment`'s
-    tie rule, each (agents not yet drawn, held agents, items left) bitmask
-    state visited once with the number of order prefixes that reach it.
+def _serial_walk(masks, m: int):
+    """Serial dictatorship over every agent order, each (agents not yet
+    drawn, held agents, items left) bitmask state visited once with the
+    number of order prefixes that reach it and drawn from with `_draw`.
     Yields (agents, wanted item masks, number of orders) for each pick,
     released tight group and the final holds; a group takes exactly the
     items it wants, so the matching inside it is left to the reader."""
-    n = len(tiers)
-    masks = [[sum(1 << j for j in tier) for tier in agent_tiers] for agent_tiers in tiers]
-
-    def want(a, items) -> int:
-        return next(tier & items for tier in masks[a] if tier & items)
-
+    n = len(masks)
     level = {((1 << n) - 1, 0, (1 << m) - 1): 1}
     for left in range(n, 0, -1):
         tail = math.factorial(left - 1)
         below: Dict[Tuple[int, int, int], int] = {}
         for (undrawn, held, items), ways in level.items():
-            for i in (a for a in range(n) if undrawn >> a & 1):
-                wanted = want(i, items)
-                if wanted & (wanted - 1):
-                    now_held, now_items = held | 1 << i, items
-                else:
-                    yield (i,), (wanted,), ways * tail
-                    now_held, now_items = held, items & ~wanted
-                while now_held:
-                    wants = {a: want(a, now_items) for a in range(n) if now_held >> a & 1}
-                    # after the last draw the holds left go as one group
-                    group = _tight_group(wants, int.bit_count) or (tuple(wants) if left == 1 else ())
-                    if not group:
-                        break
-                    group_wants = tuple(wants[a] for a in group)
-                    yield group, group_wants, ways * tail
-                    now_held &= ~sum(1 << a for a in group)
-                    now_items &= ~reduce(or_, group_wants)
+            for i in _bits(undrawn):
+                groups, now_held, now_items = _draw(masks, i, held, items, left == 1)
+                for agents, wanted in groups:
+                    yield agents, wanted, ways * tail
                 state = (undrawn & ~(1 << i), now_held, now_items)
                 below[state] = below.get(state, 0) + ways
         level = below
@@ -193,22 +194,16 @@ def _rp_counts(m: MatchingInstance) -> List[List[int]]:
     """counts[i][j] = number of the n! serial orders that give agent i item j:
     `_serial_walk`'s picks without row ties, `_serial_assignment` with them."""
     n, k = m.n_agents, m.n_items
-    tiers = _value_tiers(m.values, k)
+    masks = _value_tiers(m.values, k)
     counts = [[0] * k for _ in range(n)]
     if _has_row_ties(m.values):
         for order in permutations(range(n)):
-            for i, j in enumerate(_serial_assignment(tiers, order, k)):
+            for i, j in enumerate(_serial_assignment(masks, order, k)):
                 counts[i][j] += 1
         return counts
-    for (i,), (item,), orders in _serial_walk(tiers, k):
+    for (i,), (item,), orders in _serial_walk(masks, k):
         counts[i][item.bit_length() - 1] += orders
     return counts
-
-
-def _rp_probabilities(m: MatchingInstance):
-    """x[i][j] = probability that Random Priority gives agent i item j."""
-    total = math.factorial(m.n_agents)
-    return tuple(tuple(Fraction(c, total) for c in row) for row in _rp_counts(m))
 
 
 def _expected_utilities(m: MatchingInstance, x) -> Tuple[Fraction, ...]:
@@ -224,16 +219,22 @@ def _expected_utilities(m: MatchingInstance, x) -> Tuple[Fraction, ...]:
 MAX_RP_EXACT_AGENTS = 10
 
 
+def _rp_exact(m: MatchingInstance, bound_message: str):
+    """(probability matrix, DisagreementPoint) under exact Random Priority."""
+    if m.n_agents > MAX_RP_EXACT_AGENTS:
+        raise BoundExceededError(bound_message)
+    total = math.factorial(m.n_agents)
+    x = tuple(tuple(Fraction(c, total) for c in row) for row in _rp_counts(m))
+    return x, DisagreementPoint(utilities=_expected_utilities(m, x), provenance="rp_exact")
+
+
 def rp_exact(m: MatchingInstance) -> DisagreementPoint:
     """Exact Random Priority: average over all n! serial orders.
 
     Accepts any instance with at least as many items as agents; agents in
     turn pick their favorite remaining item, extra items go unassigned.
     """
-    if m.n_agents > MAX_RP_EXACT_AGENTS:
-        raise BoundExceededError("rp_exact bound exceeded; use rp_montecarlo")
-    utils = _expected_utilities(m, _rp_probabilities(m))
-    return DisagreementPoint(utilities=utils, provenance="rp_exact")
+    return _rp_exact(m, "rp_exact bound exceeded; use rp_montecarlo")[1]
 
 
 def rp_allocation(m: MatchingInstance):
@@ -241,10 +242,7 @@ def rp_allocation(m: MatchingInstance):
     x[i][j] = probability agent i receives item j."""
     if not m.is_square:
         raise ValueError("rp_allocation requires a square instance")
-    if m.n_agents > MAX_RP_EXACT_AGENTS:
-        raise BoundExceededError("rp_allocation bound exceeded")
-    x = _rp_probabilities(m)
-    return x, DisagreementPoint(utilities=_expected_utilities(m, x), provenance="rp_exact")
+    return _rp_exact(m, "rp_allocation bound exceeded")
 
 
 def rp_montecarlo(m: MatchingInstance, samples: int, seed: int) -> DisagreementPoint:
@@ -255,8 +253,8 @@ def rp_montecarlo(m: MatchingInstance, samples: int, seed: int) -> DisagreementP
         raise ValueError("rp_montecarlo requires a square instance")
     n = m.n_agents
     tie_free = not _has_row_ties(m.values)
-    tiers = _value_tiers(m.values, m.n_items)
-    prefs = _preference_lists(tiers)
+    masks = _value_tiers(m.values, m.n_items)
+    prefs = _preference_lists(masks)
     counts = [[0] * m.n_items for _ in range(n)]
     rng = random.Random(seed)
     order = list(range(n))
@@ -271,7 +269,7 @@ def rp_montecarlo(m: MatchingInstance, samples: int, seed: int) -> DisagreementP
                         counts[i][j] += 1
                         break
         else:
-            assignment = _serial_assignment(tiers, order, m.n_items)
+            assignment = _serial_assignment(masks, order, m.n_items)
             for i in range(n):
                 counts[i][assignment[i]] += 1
     utils = _expected_utilities(m, [[Fraction(c, samples) for c in row] for row in counts])

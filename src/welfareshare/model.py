@@ -419,25 +419,28 @@ def fixture(name: str, **params):
     RENT5(eps), RPDISC(eps).
     """
     name = name.upper()
-    builders = {
-        "EX1": lambda: _fixture_ex1(parse_rational(params["delta"])),
-        "EX2": _fixture_ex2,
-        "EX3": _fixture_ex3,
-        "EX4": _fixture_ex4,
-        "EX5": _fixture_ex5,
-        "TWO": lambda: _fixture_two(parse_rational(params["delta"])),
-        "WF_FAIL": _fixture_wf_fail,
-        "EMPTY_CORE": _fixture_empty_core,
-        "KS4": _fixture_ks4,
-        "LIP": lambda: _fixture_lip(int(params["n"]), params.get("variant", False)),
-        "RENT5": lambda: _fixture_rent5(parse_rational(params["eps"])),
-        "RPDISC": lambda: _fixture_rpdisc(parse_rational(params["eps"])),
+    # name -> (builder, parameter names it takes)
+    table = {
+        "EX1": (lambda: _fixture_ex1(parse_rational(params["delta"])), ("delta",)),
+        "EX2": (_fixture_ex2, ()),
+        "EX3": (_fixture_ex3, ()),
+        "EX4": (_fixture_ex4, ()),
+        "EX5": (_fixture_ex5, ()),
+        "TWO": (lambda: _fixture_two(parse_rational(params["delta"])), ("delta",)),
+        "WF_FAIL": (_fixture_wf_fail, ()),
+        "EMPTY_CORE": (_fixture_empty_core, ()),
+        "KS4": (_fixture_ks4, ()),
+        "LIP": (
+            lambda: _fixture_lip(int(params["n"]), params.get("variant", False)),
+            ("n", "variant"),
+        ),
+        "RENT5": (lambda: _fixture_rent5(parse_rational(params["eps"])), ("eps",)),
+        "RPDISC": (lambda: _fixture_rpdisc(parse_rational(params["eps"])), ("eps",)),
     }
-    if name not in builders:
+    if name not in table:
         raise KeyError(f"unknown fixture {name!r}")
-    takes = {"EX1": ("delta",), "TWO": ("delta",), "LIP": ("n", "variant"),
-             "RENT5": ("eps",), "RPDISC": ("eps",)}
+    build, takes = table[name]
     for key in params:
-        if key not in takes.get(name, ()):
+        if key not in takes:
             raise ValueError(f"fixture {name} takes no parameter {key!r}")
-    return builders[name]()
+    return build()

@@ -272,6 +272,13 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: fixture {spec[8:11]} takes no parameter '{key}'\n"
 
+    def test_fixture_parameter_given_twice(self, capsys):
+        code, out, err = run(
+            capsys, "solve", "fixture:TWO(delta=1/5, delta=1/2)", "--mechanism", "shapley"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: fixture parameter 'delta' given twice\n"
+
     def test_bad_json(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -9,6 +9,7 @@ from conftest import random_matching
 
 from welfareshare import disagreement
 from welfareshare.disagreement import (
+    _draw,
     _has_row_ties,
     _lex_perfect_matching,
     _rp_counts,
@@ -143,11 +144,9 @@ def reference_instances(seed, max_n=6, extra=(0, 1, 2)):
 
 class TestTierTable:
     def test_value_tiers(self):
+        # item bitmasks: bit j is item j
         values = ((Fraction(3), Fraction(1), Fraction(3), Fraction(2)), (Fraction(0),) * 4)
-        assert _value_tiers(values, 4) == (
-            (frozenset({0, 2}), frozenset({3}), frozenset({1})),
-            (frozenset({0, 1, 2, 3}),),
-        )
+        assert _value_tiers(values, 4) == ((0b0101, 0b1000, 0b0010), (0b1111,))
 
     def test_serial_assignment_matches_reference_on_every_order(self):
         for m in reference_instances(210):
@@ -192,6 +191,55 @@ def tie_free_instances(seed, extra):
             yield MatchingInstance(tuple(range(k)), tuple(tuple(s * r for r in ranks) for s in steps))
 
 
+def walk_counts(m):
+    """`_rp_counts` read from the state walk, `_lex_perfect_matching` inside
+    each released group and the final holds."""
+    k = m.n_items
+    counts = [[0] * k for _ in range(m.n_agents)]
+    for group, wanted, orders in _serial_walk(_value_tiers(m.values, k), k):
+        desired = {a: frozenset(j for j in range(k) if w >> j & 1) for a, w in zip(group, wanted)}
+        for a, j in _lex_perfect_matching(group, desired).items():
+            counts[a][j] += orders
+    return counts
+
+
+class TestDraw:
+    """The edges of `_draw`'s tie rule, each against the reference pass."""
+
+    def test_last_agent_held_on_two_of_three_items_gets_the_lower(self):
+        # m = n + 1: agent 0 is held on items {0, 1}, so three items are
+        # left when agent 1, the last, is held on {1, 2}; no group is
+        # tight, and the holds left go as one group
+        m = MatchingInstance(("x", "y", "z"), ((1, 1, 0), (0, 1, 1)))
+        masks = _value_tiers(m.values, 3)
+        assert _draw(masks, 1, 0b01, 0b111, last=True) == ([((0, 1), (0b011, 0b110))], 0, 0)
+        assert _serial_assignment(masks, (0, 1), 3) == [0, 1]
+        assert serial_assignment_reference(m.values, (0, 1), 3) == [0, 1]
+
+    def test_pick_releases_a_hold_whose_tier_shrinks_to_one_item(self):
+        # agent 0 is held on items {0, 1}; agent 1 picks item 0, not the
+        # last draw, and agent 0's tier is item 1 alone, a tight group
+        m = MatchingInstance(("x", "y", "z"), ((1, 1, 0), (5, 0, 0), (0, 0, 1)))
+        masks = _value_tiers(m.values, 3)
+        assert _draw(masks, 0, 0, 0b111, last=False) == ([], 0b001, 0b111)
+        assert _draw(masks, 1, 0b001, 0b111, last=False) == (
+            [((1,), (0b001,)), ((0,), (0b010,))],
+            0,
+            0b100,
+        )
+        assert _serial_assignment(masks, (0, 1, 2), 3) == [1, 0, 2]
+        assert serial_assignment_reference(m.values, (0, 1, 2), 3) == [1, 0, 2]
+
+    def test_walk_gives_counts_on_the_edge_instances(self):
+        for values in (((1, 1, 0), (0, 1, 1)), ((1, 1, 0), (5, 0, 0), (0, 0, 1))):
+            m = MatchingInstance(("x", "y", "z"), values)
+            assert walk_counts(m) == _rp_counts(m) == [
+                [sum(serial_assignment_reference(m.values, order, 3)[i] == j
+                     for order in itertools.permutations(range(m.n_agents))) for j in range(3)]
+                for i in range(m.n_agents)
+            ]
+
+
 class TestCountTable:
     """Without row ties `_rp_counts` walks (agents left, items left) states;
     the n! orders of the reference pass are the reference."""
@@ -218,13 +266,7 @@ class TestCountTable:
             if not _has_row_ties(m.values):
                 continue
             tied += 1
-            k = m.n_items
-            counts = [[0] * k for _ in range(m.n_agents)]
-            for group, wanted, orders in _serial_walk(_value_tiers(m.values, k), k):
-                desired = {a: frozenset(j for j in range(k) if w >> j & 1) for a, w in zip(group, wanted)}
-                for a, j in _lex_perfect_matching(group, desired).items():
-                    counts[a][j] += orders
-            assert counts == _rp_counts(m), m.values
+            assert walk_counts(m) == _rp_counts(m), m.values
         assert tied > 40
 
     def test_ten_agents_doubly_stochastic(self):
