@@ -10,7 +10,6 @@ from .core import (
 )
 from .decompose import (
     ComponentPartition,
-    check_strong_decomposability,
     check_weak_decomposability,
     find_components,
     find_components_general,
@@ -39,6 +38,7 @@ from .model import (
 )
 from .rivals import (
     MechanismReport,
+    check_strong_decomposability,
     ef_maxmin,
     ks_bargaining,
     mechanism_report,

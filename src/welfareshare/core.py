@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .model import DisagreementPoint
-from .welfare import SetFunctionOracle, _indicator, agents_of, wpi
+from .welfare import SetFunctionOracle, _indicator, _subset_sums, agents_of
 
 LE, EQ, GE = "<=", "==", ">="
 
@@ -328,7 +328,7 @@ def lexicographic_maxmin(n_vars, constraints, exprs):
 
 
 def masks_by_size(n: int):
-    return sorted(range(1, 1 << n), key=lambda m: (bin(m).count("1"), agents_of(m)))
+    return sorted(range(1, 1 << n), key=lambda m: (m.bit_count(), agents_of(m)))
 
 
 @dataclass(frozen=True)
@@ -344,13 +344,11 @@ class AnticoreVerdict:
 def check_anticore(o: SetFunctionOracle, u: Sequence[Fraction]) -> AnticoreVerdict:
     """u(S) <= W_max(S) for every nonempty S; first violation wins
     (smallest cardinality, then lexicographic)."""
-    n = o.n_agents
-    for mask in masks_by_size(n):
-        members = agents_of(mask)
-        total = sum((u[i] for i in members), Fraction(0))
+    sums = _subset_sums(u)
+    for mask in masks_by_size(o.n_agents):
         cap = o.wmax_mask(mask)
-        if total > cap:
-            return AnticoreVerdict(False, members, cap - total)
+        if sums[mask] > cap:
+            return AnticoreVerdict(False, agents_of(mask), cap - sums[mask])
     return AnticoreVerdict(True)
 
 
@@ -386,7 +384,8 @@ def ws_core_nonempty(o: SetFunctionOracle, d: DisagreementPoint) -> CoreVerdict:
     x(S) <= f(S), x >= 0, where f = W_max - W_pi.  The WS-core is nonempty
     iff the optimum reaches f(N); the witness is u = x + d."""
     n = o.n_agents
-    f = [o.wmax_mask(mask) - wpi(d, agents_of(mask)) for mask in range(1 << n)]
+    d_sum = _subset_sums(d.utilities)
+    f = [o.wmax_mask(mask) - d_sum[mask] for mask in range(1 << n)]
     rows = [(_indicator(mask, n), LE, f[mask]) for mask in range(1, 1 << n)]
     lp = LinearProgram(n, [Fraction(1)] * n, rows, maximize=True, nonneg=True)
     res = simplex_solve(lp)

@@ -1,10 +1,11 @@
-"""Independent components and weak/strong decomposability verdicts.
+"""Independent components and weak decomposability verdicts.
 
 A block (P, M) of a matching instance is an independent component when
 every Pareto-optimal assignment matches P's agents inside M.  The exact
 path joins the edges of Pareto-optimal assignments; the fast path certifies
 a partition through the sufficient condition that every agent strictly
-prefers all of her block's items to every item outside it.
+prefers all of her block's items to every item outside it.  The strong
+decomposability check runs mechanisms, so it lives in `rivals`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .disagreement import _serial_walk, _value_tiers
 from .model import BoundExceededError, Instance, MatchingInstance, Solution
-from .welfare import SetFunctionOracle
+from .welfare import _bits, agents_of
 
 
 @dataclass(frozen=True)
@@ -54,6 +55,18 @@ class _UnionFind:
             return True
         return False
 
+    def blocks(self, n_agents):
+        """(agents, items) per root, each ascending, where nodes below
+        n_agents are agents and node n_agents + j is item j."""
+        groups = {}
+        for node in range(len(self.parent)):
+            agents, items = groups.setdefault(self.find(node), ([], []))
+            if node < n_agents:
+                agents.append(node)
+            else:
+                items.append(node - n_agents)
+        return [(tuple(agents), tuple(items)) for agents, items in groups.values()]
+
 
 def _sufficient_partition(m: MatchingInstance) -> ComponentPartition:
     """Finest partition satisfying the strict-preference block condition.
@@ -76,20 +89,12 @@ def _sufficient_partition(m: MatchingInstance) -> ComponentPartition:
             if row[j] == top:
                 uf.union(i, item(j))
 
-    def agent_groups():
-        groups = {}
-        for i in range(n):
-            groups.setdefault(uf.find(i), [set(), set()])[0].add(i)
-        for j in range(n):
-            root = uf.find(item(j))
-            if root in groups:
-                groups[root][1].add(j)
-        return groups
-
+    # uf.blocks also lists blocks of items alone: the first phase skips
+    # them, and none is left once it converges (see below)
     changed = True
     while changed:
         changed = False
-        for agents, items in agent_groups().values():
+        for agents, items in uf.blocks(n):
             if len(items) < len(agents):
                 # each member's top-|P| items (ties included) must be in the
                 # block: an excluded top-k item would beat an included item
@@ -106,7 +111,7 @@ def _sufficient_partition(m: MatchingInstance) -> ComponentPartition:
         # argument leaves no orphan items, but value ties at the cut can make
         # a group item-heavy; it then needs more agents, and the outside agent
         # keenest on its items is the only principled candidate.
-        for agents, items in agent_groups().values():
+        for agents, items in uf.blocks(n):
             if len(items) > len(agents):
                 outside = [i for i in range(n) if i not in agents]
                 best = max(
@@ -117,21 +122,14 @@ def _sufficient_partition(m: MatchingInstance) -> ComponentPartition:
         if changed:
             continue
         # global strictness verification
-        for agents, items in agent_groups().values():
+        for agents, items in uf.blocks(n):
             for i in agents:
                 worst_in = min(m.values[i][j] for j in items)
                 for j in range(n):
                     if j not in items and m.values[i][j] >= worst_in:
                         if uf.union(i, item(j)):
                             changed = True
-    groups = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), [set(), set()])[0].add(i)
-    for j in range(n):
-        groups.setdefault(uf.find(item(j)), [set(), set()])[1].add(j)
-    blocks = sorted(
-        (tuple(sorted(a)), tuple(sorted(it))) for a, it in groups.values()
-    )
+    blocks = sorted(uf.blocks(n))
     if any(len(a) != len(it) for a, it in blocks):
         raise AssertionError("sufficient partition has an unbalanced block")
     return ComponentPartition(blocks=tuple(blocks), certificate="sufficient")
@@ -159,15 +157,11 @@ def _exact_matching_blocks(m: MatchingInstance, agents, items):
     tiers = _value_tiers(m.restrict(agents, items).values, k)
     for group, wanted, _orders in _serial_walk(tiers, k):
         for pos, mask in zip(group, wanted):
-            for col in range(k):
-                if mask >> col & 1:
-                    uf.union(pos, k + col)
-    groups = {}
-    for pos in range(k):
-        groups.setdefault(uf.find(pos), [set(), set()])[0].add(agents[pos])
-    for pos in range(k):
-        groups.setdefault(uf.find(k + pos), [set(), set()])[1].add(items[pos])
-    return [(tuple(sorted(a)), tuple(sorted(it))) for a, it in groups.values()]
+            for col in _bits(mask):
+                uf.union(pos, k + col)
+    return [
+        (tuple(agents[p] for p in a), tuple(items[p] for p in it)) for a, it in uf.blocks(k)
+    ]
 
 
 # each block walks the serial-dictatorship states of its agents; a larger
@@ -260,20 +254,17 @@ def find_components_general(inst: Instance) -> ComponentPartition:
     n = inst.n_agents
     if n > MAX_GENERAL_COMPONENT_AGENTS:
         return trivial_partition(inst)
-    certified = [
-        mask
-        for mask in range(1, (1 << n) - 1)
-        if verify_component(inst, [i for i in range(n) if mask & (1 << i)])
-    ]
-    certified.sort(key=lambda m: bin(m).count("1"))
+    full = (1 << n) - 1
+    certified = [mask for mask in range(1, full) if verify_component(inst, agents_of(mask))]
+    certified.sort(key=int.bit_count)
     used = 0
     blocks = []
     for mask in certified:
         if mask & used:
             continue
-        blocks.append(tuple(i for i in range(n) if mask & (1 << i)))
+        blocks.append(agents_of(mask))
         used |= mask
-    rest = tuple(i for i in range(n) if not used & (1 << i))
+    rest = agents_of(full & ~used)
     if rest:
         if len(rest) < n and not verify_component(inst, rest):
             return trivial_partition(inst)
@@ -310,47 +301,3 @@ def check_weak_decomposability(
         if net != 0:
             return WeakVerdict(False, tuple(agents), net)
     return WeakVerdict(True)
-
-
-@dataclass(frozen=True)
-class StrongVerdict:
-    ok: bool
-    agent: Optional[int] = None
-    u_whole: Optional[Fraction] = None
-    u_component: Optional[Fraction] = None
-
-    def __bool__(self):
-        return self.ok
-
-
-def check_strong_decomposability(
-    mechanism: str,
-    inst,
-    partition: ComponentPartition,
-    disagreement_mode: str = "rp",
-) -> StrongVerdict:
-    """Run the mechanism whole and per block; utilities must agree exactly.
-
-    The disagreement point is recomputed on each restricted instance with
-    the same mode (only deterministic modes are meaningful here).
-    """
-    from .rivals import compute_disagreement, run_mechanism
-
-    d_whole = compute_disagreement(inst, disagreement_mode)
-    whole = run_mechanism(mechanism, SetFunctionOracle(inst), d_whole)
-    for agents, items in partition.blocks:
-        if isinstance(inst, MatchingInstance):
-            sub = inst.restrict(agents, items)
-        else:
-            sub = inst.restrict_agents(agents)
-        d_sub = compute_disagreement(sub, disagreement_mode)
-        part = run_mechanism(mechanism, SetFunctionOracle(sub), d_sub)
-        for pos, agent in enumerate(agents):
-            if whole.utilities[agent] != part.utilities[pos]:
-                return StrongVerdict(
-                    False,
-                    agent=agent,
-                    u_whole=whole.utilities[agent],
-                    u_component=part.utilities[pos],
-                )
-    return StrongVerdict(True)

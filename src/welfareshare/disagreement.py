@@ -25,6 +25,7 @@ from operator import or_
 from typing import Dict, List, Sequence, Tuple
 
 from .model import BoundExceededError, DisagreementPoint, Instance, MatchingInstance
+from .welfare import _bits
 
 
 def uniform(inst) -> DisagreementPoint:
@@ -78,14 +79,6 @@ def _lex_perfect_matching(agents: Sequence[int], desired: Dict[int, frozenset]):
         else:
             raise AssertionError("no perfect matching for held agents")
     return result
-
-
-def _bits(mask: int):
-    """The indices of the set bits of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _value_tiers(values, m: int) -> Tuple[Tuple[int, ...], ...]:

@@ -8,7 +8,7 @@ from typing import Optional, Sequence, Tuple
 
 from .core import EQ, LE, EmptyCoreError, InfeasibleError, lexicographic_maxmin
 from .model import BoundExceededError, DisagreementPoint, MatchingInstance, Solution
-from .welfare import SetFunctionOracle, _indicator, agents_of, is_submodular
+from .welfare import SetFunctionOracle, _indicator, _subset_sums, agents_of, is_submodular
 
 
 @dataclass(frozen=True)
@@ -38,19 +38,15 @@ def water_filling(
     n = o.n_agents
     u = list(d.utilities)
     masks = range(1, 1 << n)
-    d_sum = [Fraction(0)] * (1 << n)  # d(S) by low-bit subset sums
-    for m in masks:
-        low = m & -m
-        d_sum[m] = d_sum[m ^ low] + u[low.bit_length() - 1]
     # gap[S] = W_max(S) - u(S), the one slack table; S is tight at gap 0
-    gap = [o.wmax_mask(m) - total for m, total in enumerate(d_sum)]
+    gap = [o.wmax_mask(m) - total for m, total in enumerate(_subset_sums(u))]
     if any(g < 0 for g in gap):
         raise EmptyCoreError("WS-core is empty")
 
     def tight_sets(found):
         return tuple(
             (agents_of(m), o.wmax_mask(m))
-            for m in sorted(found, key=lambda m: (bin(m).count("1"), m))
+            for m in sorted(found, key=lambda m: (m.bit_count(), m))
         )
 
     tight = [m for m in masks if not gap[m]]
@@ -84,9 +80,7 @@ def water_filling(
     )
     if not trace.exhausted:
         return None, trace
-    alt = o.wmax_argmax(range(n))
-    sol = Solution.build(alt, o.values_at(alt), u, "lexmax")
-    return sol, trace
+    return o.solution(u, "lexmax"), trace
 
 
 def solve_lexmax(
@@ -138,9 +132,7 @@ def lexmax_lp(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
         raise EmptyCoreError("WS-core is empty") from exc
     if min(levels) < 0:
         raise EmptyCoreError("WS-core is empty")
-    u = [levels[i] + d[i] for i in range(n)]
-    alt = o.wmax_argmax(range(n))
-    return Solution.build(alt, o.values_at(alt), u, "lexmax")
+    return o.solution([levels[i] + d[i] for i in range(n)], "lexmax")
 
 
 def sum_squares(u: Sequence[Fraction]) -> Fraction:

@@ -19,12 +19,19 @@ class BoundExceededError(ValueError):
 # caps on a parsed rational string: digits, and |decimal exponent|
 MAX_DIGITS = 1000
 MAX_EXPONENT = 1000
-_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)$")
+# Python 3.11's Fraction grammar, which `Fraction` itself widens or narrows
+# on other versions: a sign, then p/q or a decimal with an exponent; single
+# underscores between digits, and no whitespace inside
+_RATIONAL = re.compile(
+    r"[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?"
+    r"(?:/\d+(?:_\d+)*|(?:\.(?:\d+(?:_\d+)*)?)?(?:[eE](?P<exp>[-+]?\d+(?:_\d+)*))?)"
+)
 
 
 def parse_rational(text: Union[str, int, Fraction]) -> Fraction:
     """Parse "p/q", integer, or decimal strings into an exact Fraction.
 
+    Strings follow one grammar on every Python version (`_RATIONAL`).
     Decimal strings are converted with a base-10 denominator, so "0.1"
     becomes exactly 1/10.  Floats are rejected: binary floats silently
     contaminate exact pipelines, and bools (JSON true) are not numbers.  A
@@ -40,11 +47,13 @@ def parse_rational(text: Union[str, int, Fraction]) -> Fraction:
     text = str(text).strip()
     if sum(c.isdigit() for c in text) > MAX_DIGITS:
         raise ValueError(f"rational with more than {MAX_DIGITS} digits")
-    exponent = _EXPONENT.search(text)
-    if exponent and abs(int(exponent.group(1))) > MAX_EXPONENT:
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError(f"Invalid literal for Fraction: {text!r}")
+    if match["exp"] and abs(int(match["exp"])) > MAX_EXPONENT:
         raise ValueError(f"exponent beyond {MAX_EXPONENT} in {text!r}")
     try:
-        return Fraction(text)
+        return Fraction(text.replace("_", ""))  # 3.10's Fraction takes no "_"
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {text!r}") from None
 
@@ -67,6 +76,16 @@ def _freeze_matrix(values: Sequence[Sequence[Union[str, int, Fraction]]]):
     return rows
 
 
+def _agent_ids(ids, n: int) -> tuple:
+    """The given agent ids, or "1".."n" when none are given."""
+    if not ids:
+        return tuple(str(i + 1) for i in range(n))
+    ids = tuple(ids)
+    if len(ids) != n:
+        raise ValueError("agent_ids length mismatch")
+    return ids
+
+
 @dataclass(frozen=True)
 class Instance:
     """General game: n agents choose one of a list of alternatives."""
@@ -80,14 +99,7 @@ class Instance:
         object.__setattr__(self, "alternative_ids", tuple(self.alternative_ids))
         if len(self.alternative_ids) != len(self.values[0]):
             raise ValueError("alternative_ids length mismatch")
-        if not self.agent_ids:
-            object.__setattr__(
-                self, "agent_ids", tuple(str(i + 1) for i in range(len(self.values)))
-            )
-        else:
-            object.__setattr__(self, "agent_ids", tuple(self.agent_ids))
-            if len(self.agent_ids) != len(self.values):
-                raise ValueError("agent_ids length mismatch")
+        object.__setattr__(self, "agent_ids", _agent_ids(self.agent_ids, len(self.values)))
 
     @property
     def n_agents(self) -> int:
@@ -126,14 +138,7 @@ class MatchingInstance:
             raise ValueError("item_ids length mismatch")
         if len(self.item_ids) < len(self.values):
             raise ValueError("need n_items >= n_agents")
-        if not self.agent_ids:
-            object.__setattr__(
-                self, "agent_ids", tuple(str(i + 1) for i in range(len(self.values)))
-            )
-        else:
-            object.__setattr__(self, "agent_ids", tuple(self.agent_ids))
-            if len(self.agent_ids) != len(self.values):
-                raise ValueError("agent_ids length mismatch")
+        object.__setattr__(self, "agent_ids", _agent_ids(self.agent_ids, len(self.values)))
         if self.rent is not None:
             object.__setattr__(self, "rent", parse_rational(self.rent))
 
@@ -443,4 +448,7 @@ def fixture(name: str, **params):
     for key in params:
         if key not in takes:
             raise ValueError(f"fixture {name} takes no parameter {key!r}")
-    return build()
+    try:
+        return build()
+    except KeyError as exc:  # the builders read only `params` by key
+        raise ValueError(f"fixture {name} needs parameter {exc.args[0]!r}") from None

@@ -1,12 +1,14 @@
-"""Comparison mechanisms and the per-mechanism report harness."""
+"""Comparison mechanisms, the per-mechanism report harness, and the
+strong-decomposability check, which runs a mechanism whole and per block."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, Optional
 
+from . import disagreement as dis
 from .core import (
     EQ,
     GE,
@@ -15,18 +17,14 @@ from .core import (
     check_domination,
     lexicographic_maxmin,
 )
+from .decompose import ComponentPartition, check_weak_decomposability, find_components
 from .egalitarian import solve_lexmax
 from .model import BoundExceededError, DisagreementPoint, MatchingInstance, Solution
-from .welfare import SetFunctionOracle, _indicator, agents_of, dual, wpi
+from .welfare import SetFunctionOracle, _indicator, _subset_sums, agents_of, dual
 
 
 class IncompatibleOptionsError(ValueError):
     pass
-
-
-def _solution_from_utilities(o: SetFunctionOracle, utilities, mechanism: str) -> Solution:
-    alt = o.wmax_argmax(range(o.n_agents))
-    return Solution.build(alt, o.values_at(alt), utilities, mechanism)
 
 
 # the closed form reads the 2^n-entry table n times; README gives its time at 14
@@ -42,7 +40,7 @@ def shapley(o: SetFunctionOracle) -> Solution:
     denom = fact[n]
     phi = [Fraction(0)] * n
     for mask in range(1 << n):
-        size = bin(mask).count("1")
+        size = mask.bit_count()
         base = o.wmax_mask(mask)
         weight = Fraction(fact[size] * fact[n - 1 - size], denom) if size < n else None
         if weight is None:
@@ -52,7 +50,7 @@ def shapley(o: SetFunctionOracle) -> Solution:
             if mask & bit:
                 continue
             phi[i] += weight * (o.wmax_mask(mask | bit) - base)
-    return _solution_from_utilities(o, phi, "shapley")
+    return o.solution(phi, "shapley")
 
 
 def ef_maxmin(o: SetFunctionOracle) -> Solution:
@@ -79,11 +77,10 @@ def ef_maxmin(o: SetFunctionOracle) -> Solution:
             row[j] -= Fraction(1)
             rows.append((row, GE, m.values[i][j] - m.values[i][mine]))
     exprs = [(_indicator(1 << sigma[i], n), m.values[i][sigma[i]]) for i in range(n)]
-    levels, q = lexicographic_maxmin(n, rows, exprs)
-    transfers = tuple(q[sigma[i]] for i in range(n))
-    return Solution(
-        alternative=sigma, transfers=transfers, utilities=tuple(levels), mechanism="ef-maxmin"
-    )
+    # agent i's level is v_i(sigma_i) + q[sigma_i] at the returned point, so
+    # the transfers that o.solution derives are q's entries
+    levels, _ = lexicographic_maxmin(n, rows, exprs)
+    return o.solution(levels, "ef-maxmin")
 
 
 def ks_bargaining(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
@@ -102,7 +99,7 @@ def ks_bargaining(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
     else:
         t = (o.wmax_mask(o.full_mask) - sum_d) / (sum_b - sum_d)
         u = tuple(d[i] + t * (b[i] - d[i]) for i in range(n))
-    return _solution_from_utilities(o, u, "ks")
+    return o.solution(u, "ks")
 
 
 def nash_bargaining(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
@@ -110,7 +107,7 @@ def nash_bargaining(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
     n = o.n_agents
     surplus = o.wmax_mask(o.full_mask) - d.total()
     u = tuple(d[i] + surplus / n for i in range(n))
-    return _solution_from_utilities(o, u, "nash")
+    return o.solution(u, "nash")
 
 
 def nucleolus_ws(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
@@ -123,15 +120,15 @@ def nucleolus_ws(o: SetFunctionOracle, d: DisagreementPoint) -> Solution:
     """
     n = o.n_agents
     full = o.full_mask
+    d_sum = _subset_sums(d.utilities)
     exprs = []
     for mask in range(1, full):
-        members = agents_of(mask)
-        g = max(dual(o, members), wpi(d, members))
+        g = max(dual(o, agents_of(mask)), d_sum[mask])
         exprs.append((_indicator(mask, n), -g))
     _, u = lexicographic_maxmin(n, [([1] * n, EQ, o.wmax_mask(full))], exprs)
     if not (check_domination(u, d) and check_anticore(o, u)):
         raise EmptyCoreError("WS-core is empty")
-    return _solution_from_utilities(o, u, "nucleolus-ws")
+    return o.solution(u, "nucleolus-ws")
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +150,6 @@ def compute_disagreement(
     samples: int = DEFAULT_SAMPLES,
     explicit=None,
 ) -> DisagreementPoint:
-    from . import disagreement as dis
-
     if mode == "explicit":
         if explicit is None:
             raise IncompatibleOptionsError("explicit disagreement needs utilities")
@@ -205,21 +200,59 @@ def mechanism_report(
     o: SetFunctionOracle, tag: str, d: DisagreementPoint, partition=None
 ) -> MechanismReport:
     """Run one mechanism and attach the standard property flags."""
-    from . import decompose
-
     inst = o.backing
     sol = run_mechanism(tag, o, d)
     u = sol.utilities
     if partition is None:
-        partition = decompose.find_components(inst)
+        partition = find_components(inst)
     flags = {
         "in_anticore": bool(check_anticore(o, u)),
         "dominates_disagreement": bool(check_domination(u, d)),
         "reasonable_from_above": all(
             u[i] <= o.wmax_mask(1 << i) for i in range(o.n_agents)
         ),
-        "weakly_decomposable": bool(
-            decompose.check_weak_decomposability(inst, partition, sol)
-        ),
+        "weakly_decomposable": bool(check_weak_decomposability(inst, partition, sol)),
     }
     return MechanismReport(mechanism=tag, solution=sol, flags=flags)
+
+
+@dataclass(frozen=True)
+class StrongVerdict:
+    ok: bool
+    agent: Optional[int] = None
+    u_whole: Optional[Fraction] = None
+    u_component: Optional[Fraction] = None
+
+    def __bool__(self):
+        return self.ok
+
+
+def check_strong_decomposability(
+    mechanism: str,
+    inst,
+    partition: ComponentPartition,
+    disagreement_mode: str = "rp",
+) -> StrongVerdict:
+    """Run the mechanism whole and per block; utilities must agree exactly.
+
+    The disagreement point is recomputed on each restricted instance with
+    the same mode (only deterministic modes are meaningful here).
+    """
+    d_whole = compute_disagreement(inst, disagreement_mode)
+    whole = run_mechanism(mechanism, SetFunctionOracle(inst), d_whole)
+    for agents, items in partition.blocks:
+        if isinstance(inst, MatchingInstance):
+            sub = inst.restrict(agents, items)
+        else:
+            sub = inst.restrict_agents(agents)
+        d_sub = compute_disagreement(sub, disagreement_mode)
+        part = run_mechanism(mechanism, SetFunctionOracle(sub), d_sub)
+        for pos, agent in enumerate(agents):
+            if whole.utilities[agent] != part.utilities[pos]:
+                return StrongVerdict(
+                    False,
+                    agent=agent,
+                    u_whole=whole.utilities[agent],
+                    u_component=part.utilities[pos],
+                )
+    return StrongVerdict(True)

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Tuple
 
-from .model import BoundExceededError, DisagreementPoint, Instance, MatchingInstance
+from .model import BoundExceededError, DisagreementPoint, Instance, MatchingInstance, Solution
 
 
 def mask_of(agents: Iterable[int]) -> int:
@@ -21,20 +21,34 @@ def mask_of(agents: Iterable[int]) -> int:
     return m
 
 
-def agents_of(mask: int) -> Tuple[int, ...]:
-    out = []
-    i = 0
+# _bits, _subset_sums and _indicator are private so that bench/tracer.py
+# gives their calls no span: they run thousands of times per CLI call.
+
+
+def _bits(mask: int):
+    """The indices of the set bits of `mask`, ascending."""
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return tuple(out)
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def agents_of(mask: int) -> Tuple[int, ...]:
+    return tuple(_bits(mask))
+
+
+def _subset_sums(weights) -> list:
+    """sums[mask] = the sum of `weights` over mask's agents, for every mask,
+    in one low-bit pass."""
+    sums = [Fraction(0)] * (1 << len(weights))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    return sums
 
 
 def _indicator(mask: int, n: int) -> list:
-    """The 0/1 row of mask's agents over n agents.  A bit helper like
-    agents_of, private so that bench/tracer.py gives its calls no span."""
+    """The 0/1 row of mask's agents over n agents."""
     return [Fraction(mask >> i & 1) for i in range(n)]
 
 
@@ -80,17 +94,14 @@ class SetFunctionOracle:
         return self._memo[mask]
 
     def _general_table(self):
-        # per-alternative low-bit subset sums; a tie keeps the lowest alternative
+        # per-alternative subset sums; a tie keeps the lowest alternative
         size = 1 << self.n_agents
         best, arg = [Fraction(0)] + [None] * (size - 1), [0] * size
         for a in range(self.backing.n_alternatives):
-            sums = [Fraction(0)] * size
+            sums = _subset_sums([row[a] for row in self.backing.values])
             for mask in range(1, size):
-                low = mask & -mask
-                total = sums[mask ^ low] + self.backing.values[low.bit_length() - 1][a]
-                sums[mask] = total
-                if best[mask] is None or total > best[mask]:
-                    best[mask], arg[mask] = total, a
+                if best[mask] is None or sums[mask] > best[mask]:
+                    best[mask], arg[mask] = sums[mask], a
         return best, arg
 
     def _matching_table(self):
@@ -135,6 +146,12 @@ class SetFunctionOracle:
             return tuple(row[alternative] for row in self.backing.values)
         return tuple(self.backing.values[i][j] for i, j in enumerate(alternative))
 
+    def solution(self, utilities, mechanism: str) -> Solution:
+        """The full set's welfare-maximizing alternative, with the transfers
+        that give each agent her utility."""
+        alt = self.wmax_argmax(range(self.n_agents))
+        return Solution.build(alt, self.values_at(alt), utilities, mechanism)
+
 
 def wmax(o: SetFunctionOracle, S: Iterable[int]) -> Fraction:
     return o.wmax(S)
@@ -151,7 +168,7 @@ def dual(o: SetFunctionOracle, S: Iterable[int]) -> Fraction:
 
 
 def wpi(d: DisagreementPoint, S: Iterable[int]) -> Fraction:
-    return sum((d[i] for i in S), Fraction(0))
+    return d.total(S)
 
 
 # the check scans n * (n - 1) / 2 * 2^(n - 2) pairs; README gives its time at 14
@@ -179,7 +196,7 @@ def is_submodular(o: SetFunctionOracle) -> SubmodularityVerdict:
     if n > MAX_SUBMODULAR_AGENTS:
         raise BoundExceededError("submodularity check exceeds enumeration bound")
     for base in range(1 << n):
-        for i, j in combinations([i for i in range(n) if not base >> i & 1], 2):
+        for i, j in combinations(_bits(o.full_mask & ~base), 2):
             si, sj = base | 1 << i, base | 1 << j
             if o.wmax_mask(si) + o.wmax_mask(sj) < o.wmax_mask(base) + o.wmax_mask(si | sj):
                 return SubmodularityVerdict(False, (agents_of(si), agents_of(sj)))

@@ -19,11 +19,7 @@ from conftest import (
     sufficient_conditions,
 )
 from welfareshare.core import check_anticore, check_domination, ws_core_nonempty
-from welfareshare.decompose import (
-    check_strong_decomposability,
-    check_weak_decomposability,
-    find_components_matching,
-)
+from welfareshare.decompose import check_weak_decomposability, find_components_matching
 from welfareshare.disagreement import eating, rp_allocation, rp_exact, rp_montecarlo, uniform
 from welfareshare.egalitarian import (
     lexmax_lp,
@@ -33,6 +29,7 @@ from welfareshare.egalitarian import (
 )
 from welfareshare.model import DisagreementPoint, Instance, fixture, zero_disagreement
 from welfareshare.rivals import (
+    check_strong_decomposability,
     ef_maxmin,
     ks_bargaining,
     nash_bargaining,

@@ -272,6 +272,14 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == f"error: fixture {spec[8:11]} takes no parameter '{key}'\n"
 
+    @pytest.mark.parametrize(
+        "spec, key", [("fixture:EX1", "delta"), ("fixture:LIP(variant=1)", "n")]
+    )
+    def test_missing_fixture_parameter(self, capsys, spec, key):
+        code, out, err = run(capsys, "solve", spec)
+        assert (code, out) == (2, "")
+        assert err == f"error: fixture {spec[8:11]} needs parameter '{key}'\n"
+
     def test_fixture_parameter_given_twice(self, capsys):
         code, out, err = run(
             capsys, "solve", "fixture:TWO(delta=1/5, delta=1/2)", "--mechanism", "shapley"

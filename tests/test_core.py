@@ -1,5 +1,6 @@
 """Exact simplex, WS-core feasibility, and constraint verdicts."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,7 +20,13 @@ from welfareshare.core import (
     ws_core_nonempty,
 )
 from welfareshare.disagreement import rp_exact, uniform
-from welfareshare.model import DisagreementPoint, fixture, zero_disagreement
+from welfareshare.model import (
+    DisagreementPoint,
+    Instance,
+    MatchingInstance,
+    fixture,
+    zero_disagreement,
+)
 from welfareshare.welfare import SetFunctionOracle, dual, wmax
 
 
@@ -122,7 +129,59 @@ def ex1_ef_paper_utilities(delta):
     return tuple(m.values[i][i] + p[i] for i in range(3)), p
 
 
+def first_anticore_violation_reference(o, u):
+    """(set, slack) of the first S with u(S) > W_max(S), smallest first and
+    then lexicographic, by a sum over each listed combination; else None."""
+    n = o.n_agents
+    for size in range(1, n + 1):
+        for S in itertools.combinations(range(n), size):
+            slack = wmax(o, S) - sum((u[i] for i in S), Fraction(0))
+            if slack < 0:
+                return S, slack
+    return None
+
+
 class TestAnticore:
+    def test_first_violation_equals_reference(self):
+        rng = random.Random(141)
+        cases = []
+        # u_i = W_max({i}) less a random margin, negative now and then
+        for k in range(120):
+            n = rng.randint(1, 6)
+            if k % 2:
+                inst = random_matching(rng, n, n_items=n + k % 3)
+            else:
+                inst = random_general(rng, n, rng.randint(1, 5))
+            o = SetFunctionOracle(inst)
+            lo, width = rng.choice((-1, 0)), rng.choice((1, 4, 10))
+            margins = [F(rng.randint(lo, width)) / 2 for _ in range(n)]
+            cases.append((o, [o.wmax_mask(1 << i) - margins[i] for i in range(n)]))
+        # W_max(S) = 1 for every S, as one agent takes the one valued item or
+        # alternative: u_i just under 1/(s - 1) first violates at size s
+        for k in range(40):
+            size = rng.randint(1, 5)
+            n = rng.randint(size, 6)
+            if k % 2:
+                inst = MatchingInstance(tuple(range(n)), [[1] + [0] * (n - 1)] * n)
+            else:
+                values = [[int(i == a) for a in range(n)] for i in range(n)]
+                inst = Instance(tuple(range(n)), values)
+            share = F(2) if size == 1 else F(1) / (size - 1)
+            cases.append(
+                (SetFunctionOracle(inst), [share - F(rng.randint(0, 1)) / 100 for _ in range(n)])
+            )
+        sizes = set()
+        for o, u in cases:
+            expected = first_anticore_violation_reference(o, u)
+            verdict = check_anticore(o, u)
+            if expected is None:
+                assert verdict.ok and verdict.violating_set is None
+            else:
+                assert not verdict.ok
+                assert (verdict.violating_set, verdict.slack) == expected
+            sizes.add(0 if expected is None else len(expected[0]))
+        assert sizes == {0, 1, 2, 3, 4, 5}, sizes
+
     def test_ex1_ef_violates_singleton(self):
         delta = F("1/10")
         u, _ = ex1_ef_paper_utilities(delta)

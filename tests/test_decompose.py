@@ -12,7 +12,6 @@ from conftest import planted_block_matching, random_matching
 from welfareshare import decompose
 from welfareshare.core import check_anticore
 from welfareshare.decompose import (
-    check_strong_decomposability,
     check_weak_decomposability,
     find_components,
     find_components_matching,
@@ -21,7 +20,7 @@ from welfareshare.decompose import (
 )
 from welfareshare.disagreement import rp_exact
 from welfareshare.model import BoundExceededError, Instance, MatchingInstance, Solution, fixture
-from welfareshare.rivals import ef_maxmin, run_mechanism
+from welfareshare.rivals import check_strong_decomposability, ef_maxmin, run_mechanism
 from welfareshare.welfare import SetFunctionOracle, wmax, wmax_argmax
 
 

@@ -66,6 +66,37 @@ class TestParseRational:
         with pytest.raises(ValueError, match="digits"):
             parse_rational("1/" + "9" * MAX_DIGITS)
 
+    # one grammar on every Python version: `Fraction` alone takes "1_000"
+    # only from 3.11 and "1 / 2" only from 3.12, so no verdict here may
+    # depend on the interpreter
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("1_000", 1000),
+            ("1_000/3", Fraction(1000, 3)),
+            ("3/1_0", Fraction(3, 10)),
+            ("1.5_5", Fraction(31, 20)),
+            ("1e1_0", 10**10),
+            ("-.5", Fraction(-1, 2)),
+            ("+2", 2),
+            ("1.", 1),
+            ("1.e2", 100),
+            ("1E3", 1000),
+            (" 3/4 ", Fraction(3, 4)),
+        ],
+    )
+    def test_grammar_accepts(self, text, value):
+        assert parse_rational(text) == value
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1 / 2", "1/ 2", "1 /2", "1 000", "- 1", "1__000", "_1", "1_", "1_/2", "1._5",
+         "1.5_", "1e_5", "1.d", "1/2e3", "1.5/2", "1/-2", "", ".", "/2", "1/", "0x10", "inf"],
+    )
+    def test_grammar_rejects(self, text):
+        with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+            parse_rational(text)
+
     @given(st.fractions())
     def test_format_round_trip(self, x):
         assert parse_rational(format_rational(x)) == x

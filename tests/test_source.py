@@ -124,3 +124,66 @@ def test_no_unused_imports():
             f"{path.relative_to(ROOT)}:{line} {name}" for line, name in imported if name not in read
         ]
     assert unused == []
+
+
+def test_no_function_level_imports():
+    # every import is at module top, so the module graph below is the whole one
+    def nested_imports(node):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return False
+        return any(isinstance(n, (ast.Import, ast.ImportFrom)) for n in ast.walk(node))
+
+    assert _find(nested_imports) == []
+
+
+def test_module_graph_is_acyclic():
+    # the package's own imports: model at the bottom, cli at the top
+    graph = {}
+    for path in sorted(ROOT.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        graph[path.stem] = {
+            node.module or alias.name
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+    done = set()
+    while len(done) < len(graph):
+        ready = [m for m in graph if m not in done and graph[m] <= done]
+        assert ready, f"import cycle among {sorted(set(graph) - done)}"
+        done.update(ready)
+
+
+def test_no_bin_calls():
+    # a set bit count is int.bit_count()
+    def bin_call(node):
+        return isinstance(node, ast.Call) and getattr(node.func, "id", None) == "bin"
+
+    assert _find(bin_call) == []
+
+
+def test_low_bit_loops_in_one_home():
+    # `x & -x` peels the lowest set bit: welfare._bits iterates the bits of
+    # a mask and welfare._subset_sums sums over them; the one other use is
+    # the lowest wanted item a lone agent takes in one serial pass
+    def low_bit(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.BitAnd)
+            and isinstance(node.right, ast.UnaryOp)
+            and isinstance(node.right.op, ast.USub)
+            and ast.dump(node.right.operand) == ast.dump(node.left)
+        )
+
+    found = []
+    for path in sorted(ROOT.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                found += [f"{path.stem}.{fn.name}" for node in ast.walk(fn) if low_bit(node)]
+    assert sorted(found) == [
+        "disagreement._serial_assignment",
+        "welfare._bits",
+        "welfare._subset_sums",
+    ]

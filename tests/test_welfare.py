@@ -7,10 +7,11 @@ from fractions import Fraction
 import pytest
 from conftest import random_general, random_matching
 
-from welfareshare.model import BoundExceededError, DisagreementPoint, Instance, fixture
+from welfareshare.model import BoundExceededError, DisagreementPoint, Instance, Solution, fixture
 from welfareshare.welfare import (
     MAX_TABLE_AGENTS,
     SetFunctionOracle,
+    _subset_sums,
     agents_of,
     dual,
     is_submodular,
@@ -236,6 +237,38 @@ class TestTableDifferential:
         with pytest.raises(BoundExceededError, match=f"at most {MAX_TABLE_AGENTS} agents"):
             o.wmax_mask(o.full_mask)
         assert o._memo == {}
+
+
+class TestSubsetSums:
+    def test_equals_sum_over_members(self):
+        rng = random.Random(131)
+        for k in range(80):
+            n = rng.randint(0, 8)
+            if k % 2:
+                weights = [rng.randint(-10, 10) for _ in range(n)]
+            else:
+                weights = [Fraction(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(n)]
+            sums = _subset_sums(weights)
+            assert len(sums) == 1 << n
+            for mask, total in enumerate(sums):
+                assert total == sum((weights[i] for i in agents_of(mask)), 0)
+
+
+class TestSolution:
+    def test_equals_build_at_full_set_argmax(self):
+        rng = random.Random(132)
+        for k in range(40):
+            n = rng.randint(1, 5)
+            if k % 2:
+                inst = random_matching(rng, n, n_items=n + k % 3)
+            else:
+                inst = random_general(rng, n, rng.randint(1, 5))
+            o = SetFunctionOracle(inst)
+            u = [Fraction(rng.randint(-20, 20), rng.randint(1, 4)) for _ in range(n)]
+            u[-1] += o.wmax_mask(o.full_mask) - sum(u)  # budget balanced
+            alt = o.wmax_argmax(range(n))
+            expected = Solution.build(alt, o.values_at(alt), u, "tag")
+            assert o.solution(u, "tag") == expected
 
 
 class TestDual:
